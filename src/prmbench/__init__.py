@@ -55,8 +55,8 @@ from .gbn import (
     Dataset,
     GbnNode,
     GroundBayesianNetwork,
-    GroundingError,
     aggregate_mode,
+    chain_matrices,
     forward_sample,
     ground,
     resolve_slot_chain,

@@ -170,6 +170,15 @@ def run_cli(argv=None) -> int:
     except (RejectionBudgetError, GenerationError) as exc:
         print(f"error: generation failed: {exc}", file=sys.stderr)
         return 1
+    except MemoryError:
+        # Resolved slot-chain sets can grow quadratically in --objects on
+        # some seeds; report that instead of a traceback.
+        print(
+            "error: out of memory: this configuration does not fit; "
+            "lower --objects or try another --seed",
+            file=sys.stderr,
+        )
+        return 1
     except OSError as exc:
         print(f"error: output failure: {exc}", file=sys.stderr)
         return 1

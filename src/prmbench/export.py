@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import itertools
+import math
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.parsers import expat
@@ -348,6 +349,8 @@ def parse_prm(text: str) -> Prm:
                 err(row_el, f"cpd row for {el.get('child')!r} has non-numeric entries")
             if len(probs) != domain:
                 err(row_el, f"cpd row for {el.get('child')!r} has {len(probs)} entries, expected {domain}")
+            if not all(math.isfinite(p) for p in probs):
+                err(row_el, f"cpd row for {el.get('child')!r} has non-finite entries")
             if any(p < 0 for p in probs):
                 err(row_el, f"cpd row for {el.get('child')!r} has negative entries")
             if abs(sum(probs) - 1.0) > 1e-9:

@@ -1,23 +1,34 @@
 """Grounding a PRM over a skeleton and forward-sampling a dataset.
 
-The ground network has one node per (object, descriptive attribute). Each
-PRM dependency is instantiated per object by resolving its slot chain on the
-skeleton: single-valued chains contribute one parent node, multi-valued ones
-contribute an aggregate over however many nodes the chain reaches (possibly
-none; an empty aggregate reads as state 0). Sampling walks the node-level
-topological order and draws each node from its CPD row, so the dataset
-realizes both the referential structure and the probabilistic one.
+The ground network has one node per (object, descriptive attribute), but it
+is kept implicit: an attribute topological order plus one resolved matrix
+per distinct slot chain. Row i of a chain matrix holds the objects the
+chain reaches from object i of its source class. The matrix is the product
+of the chain's slot incidence matrices (GraphBLAS-style joins, Kepner et
+al., HPEC 2016): a forward slot has exactly one nonzero per owner row, at
+the target id; an inverse slot is its transpose. Single-valued chains
+therefore contribute one parent per object; multi-valued ones an aggregate
+over however many objects the row holds (possibly none; an empty aggregate
+reads as state 0).
+
+Because the attribute DAG is acyclic, its topological order is a valid order
+for every ground node (the PRM acyclicity condition of Friedman, Getoor,
+Koller and Pfeffer, IJCAI 1999). Sampling thus draws one attribute column
+at a time over every object of its class, so the dataset realizes both the
+referential structure and the probabilistic one.
 """
 
 from __future__ import annotations
 
-from collections import deque
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy import sparse
 
-from .deps import Prm, SlotChain
+from .dag import topological_order
+from .deps import AttributeNode, Cpd, Prm, Slot, SlotChain
 from .schema import RelationalSchema, ReferenceSlot
 from .skeleton import ObjectRef, RelationalSkeleton
 
@@ -27,23 +38,26 @@ __all__ = [
     "ClassTable",
     "GbnNode",
     "GroundBayesianNetwork",
-    "GroundingError",
     "aggregate_mode",
+    "chain_matrices",
     "forward_sample",
     "ground",
+    "mode_rows",
+    "parent_configurations",
+    "parent_sizes",
     "resolve_slot_chain",
     "skeleton_from_dataset",
 ]
 
 
-class GroundingError(RuntimeError):
-    """An internal invariant failed while grounding (should be unreachable)."""
-
-
 def resolve_slot_chain(
     sk: RelationalSkeleton, start: ObjectRef, chain: SlotChain
 ) -> frozenset[ObjectRef]:
-    """Objects reached from ``start`` by walking the chain; set semantics."""
+    """Objects reached from ``start`` by walking the chain; set semantics.
+
+    This walks one object at a time. The pipeline resolves every object of a
+    class at once with :func:`chain_matrices`; this walk is its reference.
+    """
     if start.class_index != chain.source_class:
         raise ValueError(
             f"start object of class {start.class_index} does not match "
@@ -77,7 +91,108 @@ def aggregate_mode(values, domain_size: int) -> int:
     return best
 
 
-_AGGREGATE_FUNCS = {"MODE": aggregate_mode}
+def mode_rows(
+    members: sparse.csr_array, column: np.ndarray, domain_size: int
+) -> np.ndarray:
+    """:func:`aggregate_mode` of ``column[members[i]]`` for every row i at once.
+
+    ``argmax`` takes the first maximum and gives 0 for an all-zero row, which
+    are exactly aggregate_mode's rules for ties and empty sets.
+    """
+    if domain_size < 2:
+        raise ValueError("domain_size must be >= 2")
+    # int32, not the matrix's bool: one row can count ~1e5 members.
+    onehot = np.zeros((len(column), domain_size), dtype=np.int32)
+    onehot[np.arange(len(column)), column] = 1
+    return (members @ onehot).argmax(axis=1)
+
+
+_AGGREGATE_ROWS = {"MODE": mode_rows}
+
+
+def chain_matrices(chains, links) -> dict[SlotChain, sparse.csr_array]:
+    """Resolve each distinct chain for every object of its source class.
+
+    ``links`` is a :class:`RelationalSkeleton` or a :class:`Dataset`: anything
+    with ``object_counts`` and ``fk_column(slot)``. Row i of a chain's boolean
+    CSR matrix lists, in ascending order, the ids of the objects the chain
+    reaches from object i: the set :func:`resolve_slot_chain` returns.
+
+    The slot matrices multiply left to right, so each intermediate product
+    holds exactly the deduplicated per-step object sets of the one-object
+    walk, and time and memory follow their total size. Multiplying right to
+    left can build far larger intermediates (hub class x target class).
+    Boolean products add by OR, so every stored entry stays True.
+    """
+    counts = links.object_counts
+    incidence: dict[Slot, sparse.csr_array] = {}
+    out: dict[SlotChain, sparse.csr_array] = {}
+    for chain in chains:
+        if chain in out:
+            continue
+        resolved = sparse.eye_array(
+            counts[chain.source_class], format="csr", dtype=bool
+        )
+        for slot in chain.slots:
+            step = incidence.get(slot)
+            if step is None:
+                base = slot.base
+                n_owner = counts[base.owner_class]
+                fk = links.fk_column(base)
+                indptr = np.arange(n_owner + 1, dtype=fk.dtype)
+                step = sparse.csr_array(
+                    (np.ones(n_owner, dtype=bool), fk, indptr),
+                    shape=(n_owner, counts[base.referenced_class]),
+                )
+                if slot.inverted:
+                    step = step.T.tocsr()
+                incidence[slot] = step
+            resolved = resolved @ step
+        resolved.sort_indices()
+        out[chain] = resolved
+    return out
+
+
+def parent_sizes(schema: RelationalSchema, parents) -> list[int]:
+    """Domain size of each parent attribute, in the given parent order."""
+    return [
+        len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
+        for d in parents
+    ]
+
+
+def _cpd_rows(schema: RelationalSchema, cpd: Cpd) -> np.ndarray:
+    """The CPD as a dense array, one row per parent configuration.
+
+    Rows are in row-major order over the parent domains, so the row of a
+    configuration is its :func:`parent_configurations` index.
+    """
+    sizes = parent_sizes(schema, cpd.parent_order)
+    return np.array(
+        [cpd.table[c] for c in itertools.product(*(range(s) for s in sizes))]
+    )
+
+
+def parent_configurations(
+    schema: RelationalSchema, parents, chains, columns, n: int
+) -> np.ndarray:
+    """Row-major index of every object's parent configuration.
+
+    ``parents`` is a CPD's parent order for a class of ``n`` objects,
+    ``chains`` holds the matrices of the parents' slot chains (see
+    :func:`chain_matrices`) and ``columns`` maps each parent attribute to
+    its state per object.
+    """
+    index = np.zeros(n, dtype=np.int64)
+    for dep, size in zip(parents, parent_sizes(schema, parents)):
+        members = chains[dep.slot_chain]
+        column = columns[dep.parent]
+        if dep.slot_chain.is_multi_valued:
+            values = _AGGREGATE_ROWS[dep.aggregator](members, column, size)
+        else:
+            values = column[members.indices]  # exactly one member per row
+        index = index * size + values
+    return index
 
 
 @dataclass(frozen=True)
@@ -96,12 +211,19 @@ class GbnNode:
     parents: tuple[int | AggregateParent, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundBayesianNetwork:
+    """The ground network, kept implicit.
+
+    ``order`` is a topological order of the attributes, valid for every
+    ground node; ``chains`` maps each distinct slot chain of the PRM to its
+    resolved matrix (see :func:`chain_matrices`).
+    """
+
     prm: Prm
     skeleton: RelationalSkeleton
-    nodes: tuple[GbnNode, ...]
-    order: tuple[int, ...]  # cached topological order over node ids
+    order: tuple[AttributeNode, ...]
+    chains: dict[SlotChain, sparse.csr_array]
 
     def node_id(self, obj: ObjectRef, attribute_index: int) -> int:
         return self._offsets[obj.class_index] + obj.object_id * self._attr_counts[
@@ -119,83 +241,60 @@ class GroundBayesianNetwork:
             offsets.append(offsets[-1] + count * self._attr_counts[ci])
         return tuple(offsets)
 
+    @cached_property
+    def nodes(self) -> tuple[GbnNode, ...]:
+        """One node per (object, attribute), indexed by :meth:`node_id`.
+
+        A view derived from ``chains`` on first access, for inspecting the
+        network; sampling never builds it. It holds a Python object per node
+        and per aggregate, so it is meant for small networks.
+        """
+        schema = self.prm.schema
+        nodes: list[GbnNode] = []
+        for ci, n in enumerate(self.skeleton.object_counts):
+            per_attr = []
+            for ai in range(self._attr_counts[ci]):
+                entries = []
+                for dep in self.prm.cpd_for(AttributeNode(ci, ai)).parent_order:
+                    members = self.chains[dep.slot_chain]
+                    pa, pi = dep.parent.class_index, dep.parent.attribute_index
+                    ids = (
+                        self._offsets[pa]
+                        + pi
+                        + self._attr_counts[pa] * members.indices.astype(np.int64)
+                    ).tolist()
+                    if dep.slot_chain.is_multi_valued:
+                        domain = len(schema.attribute(pa, pi).domain)
+                        bounds = members.indptr.tolist()
+                        ids = [
+                            AggregateParent(dep.aggregator, tuple(ids[a:b]), domain)
+                            for a, b in zip(bounds, bounds[1:])
+                        ]
+                    entries.append(ids)
+                per_attr.append(list(zip(*entries)) if entries else [()] * n)
+            for oid in range(n):
+                obj = ObjectRef(ci, oid)
+                nodes.extend(
+                    GbnNode(obj, ai, parents[oid]) for ai, parents in enumerate(per_attr)
+                )
+        return tuple(nodes)
+
 
 def ground(prm: Prm, sk: RelationalSkeleton) -> GroundBayesianNetwork:
-    """Instantiate the PRM per object; verifies the node graph is acyclic."""
-    schema = prm.schema
-    attr_counts = [len(c.attributes) for c in schema.classes]
-    offsets = [0]
-    for ci, count in enumerate(sk.object_counts):
-        offsets.append(offsets[-1] + count * attr_counts[ci])
+    """Resolve every slot chain of the PRM over the skeleton.
 
-    def node_id(ci: int, oid: int, ai: int) -> int:
-        return offsets[ci] + oid * attr_counts[ci] + ai
-
-    parents_by_attr: dict[tuple[int, int], tuple] = {}
-    for cpd in prm.cpds:
-        parents_by_attr[(cpd.child.class_index, cpd.child.attribute_index)] = (
-            cpd.parent_order
-        )
-
-    nodes: list[GbnNode] = []
-    for ci in range(len(schema.classes)):
-        for oid in range(sk.object_counts[ci]):
-            obj = ObjectRef(ci, oid)
-            resolved_cache: dict[str, frozenset[ObjectRef]] = {}
-            for ai in range(attr_counts[ci]):
-                entries: list[int | AggregateParent] = []
-                for dep in parents_by_attr[(ci, ai)]:
-                    chain = dep.slot_chain
-                    key = chain.text
-                    targets = resolved_cache.get(key)
-                    if targets is None:
-                        targets = resolve_slot_chain(sk, obj, chain)
-                        resolved_cache[key] = targets
-                    pa, pi = dep.parent.class_index, dep.parent.attribute_index
-                    ids = sorted(node_id(pa, t.object_id, pi) for t in targets)
-                    if chain.is_multi_valued:
-                        domain = len(schema.attribute(pa, pi).domain)
-                        entries.append(
-                            AggregateParent(dep.aggregator, tuple(ids), domain)
-                        )
-                    else:
-                        if len(ids) != 1:
-                            raise GroundingError(
-                                f"single-valued chain {chain.text!r} resolved to "
-                                f"{len(ids)} objects"
-                            )
-                        entries.append(ids[0])
-                nodes.append(GbnNode(obj, ai, tuple(entries)))
-
-    order = _node_topological_order(nodes)
-    return GroundBayesianNetwork(prm=prm, skeleton=sk, nodes=tuple(nodes), order=order)
-
-
-def _node_topological_order(nodes) -> tuple[int, ...]:
-    n = len(nodes)
-    indeg = [0] * n
-    children: list[list[int]] = [[] for _ in range(n)]
-    for nid, node in enumerate(nodes):
-        for entry in node.parents:
-            if isinstance(entry, AggregateParent):
-                for pid in entry.contributing:
-                    children[pid].append(nid)
-                    indeg[nid] += 1
-            else:
-                children[entry].append(nid)
-                indeg[nid] += 1
-    ready = deque(i for i in range(n) if indeg[i] == 0)
-    order: list[int] = []
-    while ready:
-        u = ready.popleft()
-        order.append(u)
-        for v in children[u]:
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    if len(order) != n:
-        raise GroundingError("ground network contains a directed cycle")
-    return tuple(order)
+    Raises :class:`~prmbench.dag.CyclicGraphError` if the attribute DAG has a
+    cycle, in which case no order of the ground nodes exists.
+    """
+    structure = prm.structure
+    flat = [
+        AttributeNode(ci, ai)
+        for ci, count in enumerate(structure.attr_counts)
+        for ai in range(count)
+    ]
+    order = tuple(flat[i] for i in topological_order(structure.attribute_dag()))
+    chains = chain_matrices((d.slot_chain for d in structure.dependencies), sk)
+    return GroundBayesianNetwork(prm=prm, skeleton=sk, order=order, chains=chains)
 
 
 @dataclass(frozen=True)
@@ -217,69 +316,64 @@ class Dataset:
     def total_rows(self) -> int:
         return sum(t.row_count for t in self.tables)
 
+    @property
+    def object_counts(self) -> tuple[int, ...]:
+        return tuple(t.row_count for t in self.tables)
+
+    def fk_column(self, slot: ReferenceSlot) -> np.ndarray:
+        """Target id of every row of the slot's owner table."""
+        return np.asarray(
+            self.tables[slot.owner_class].fk_values[slot.name], dtype=np.int32
+        )
+
+    def attribute_columns(self) -> dict[AttributeNode, np.ndarray]:
+        """State column of every attribute."""
+        return {
+            AttributeNode(t.class_index, ai): np.asarray(values, dtype=np.int64)
+            for t in self.tables
+            for ai, values in enumerate(t.attr_values)
+        }
+
 
 def forward_sample(
     gbn: GroundBayesianNetwork, rng: np.random.Generator | None = None
 ) -> Dataset:
-    """Sample every node in topological order, then package per-class tables."""
+    """Sample one attribute column at a time, in attribute topological order.
+
+    A column takes one uniform ``u`` per object of its class, in object
+    order, and picks the first state whose cumulative CPD-row probability
+    exceeds ``u``, or the last state if none does.
+    """
     rng = rng if rng is not None else np.random.default_rng()
     prm = gbn.prm
     schema = prm.schema
-    nodes = gbn.nodes
-    states = [0] * len(nodes)
-
-    cpd_by_attr = {
-        (c.child.class_index, c.child.attribute_index): c for c in prm.cpds
-    }
-    for nid in gbn.order:
-        node = nodes[nid]
-        cpd = cpd_by_attr[(node.object.class_index, node.attribute_index)]
-        config = []
-        for entry in node.parents:
-            if isinstance(entry, AggregateParent):
-                func = _AGGREGATE_FUNCS[entry.aggregator]
-                config.append(
-                    func((states[p] for p in entry.contributing), entry.domain_size)
-                )
-            else:
-                config.append(states[entry])
-        probs = cpd.table[tuple(config)]
-        u = rng.random()
-        acc = 0.0
-        state = len(probs) - 1
-        for i, p in enumerate(probs):
-            acc += p
-            if u < acc:
-                state = i
-                break
-        states[nid] = state
-
     sk = gbn.skeleton
-    tables = []
-    for ci, cls in enumerate(schema.classes):
-        count = sk.object_counts[ci]
-        fk_values = {
-            slot.name: tuple(
-                sk.target_of(ObjectRef(ci, oid), slot).object_id
-                for oid in range(count)
-            )
-            for slot in cls.reference_slots
-        }
-        attr_values = tuple(
-            tuple(
-                states[gbn.node_id(ObjectRef(ci, oid), ai)] for oid in range(count)
-            )
-            for ai in range(len(cls.attributes))
+    columns: dict[AttributeNode, np.ndarray] = {}
+    for node in gbn.order:
+        cpd = prm.cpd_for(node)
+        n = sk.object_counts[node.class_index]
+        index = parent_configurations(schema, cpd.parent_order, gbn.chains, columns, n)
+        cumulative = np.cumsum(_cpd_rows(schema, cpd), axis=1)
+        u = rng.random(n)
+        states = (u[:, None] >= cumulative[index]).sum(axis=1)
+        columns[node] = np.minimum(states, cumulative.shape[1] - 1)
+
+    tables = tuple(
+        ClassTable(
+            class_index=ci,
+            row_count=sk.object_counts[ci],
+            fk_values={
+                slot.name: tuple(sk.fk_column(slot).tolist())
+                for slot in cls.reference_slots
+            },
+            attr_values=tuple(
+                tuple(columns[AttributeNode(ci, ai)].tolist())
+                for ai in range(len(cls.attributes))
+            ),
         )
-        tables.append(
-            ClassTable(
-                class_index=ci,
-                row_count=count,
-                fk_values=fk_values,
-                attr_values=attr_values,
-            )
-        )
-    return Dataset(schema=schema, tables=tuple(tables))
+        for ci, cls in enumerate(schema.classes)
+    )
+    return Dataset(schema=schema, tables=tables)
 
 
 def skeleton_from_dataset(dataset: Dataset) -> RelationalSkeleton:
@@ -294,7 +388,4 @@ def skeleton_from_dataset(dataset: Dataset) -> RelationalSkeleton:
                 links[(ObjectRef(table.class_index, oid), slot)] = ObjectRef(
                     slot.referenced_class, tid
                 )
-    return RelationalSkeleton(
-        object_counts=tuple(t.row_count for t in dataset.tables),
-        links=links,
-    )
+    return RelationalSkeleton(object_counts=dataset.object_counts, links=links)

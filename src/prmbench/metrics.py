@@ -16,11 +16,16 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import gammaln
 
 from .deps import AttributeNode, DependencyStructure, Prm
-from .gbn import Dataset, aggregate_mode, resolve_slot_chain, skeleton_from_dataset
-from .skeleton import ObjectRef, RelationalSkeleton
+from .gbn import Dataset, chain_matrices, parent_configurations, parent_sizes
+from .skeleton import RelationalSkeleton
+
+# Not called here since chains resolve set-at-a-time; bench/spans.py counts
+# calls to these names in this module's namespace, so they stay importable.
+from .gbn import resolve_slot_chain, skeleton_from_dataset  # noqa: F401
 
 __all__ = [
     "ContingencyCounts",
@@ -50,21 +55,28 @@ class ContingencyCounts:
         return self.families[node]
 
 
-def _parent_value(dataset, skeleton, dep, obj):
-    """Evaluate one parent of ``obj`` on the sampled data."""
-    targets = resolve_slot_chain(skeleton, obj, dep.slot_chain)
-    column = dataset.tables[dep.parent.class_index].attr_values[
-        dep.parent.attribute_index
-    ]
-    if dep.slot_chain.is_multi_valued:
-        domain = len(
-            dataset.schema.attribute(
-                dep.parent.class_index, dep.parent.attribute_index
-            ).domain
+def _check_same_links(dataset: Dataset, skeleton: RelationalSkeleton) -> None:
+    """Raise ValueError unless the skeleton carries the dataset's foreign keys."""
+    if skeleton.object_counts != dataset.object_counts:
+        raise ValueError(
+            f"skeleton object counts {skeleton.object_counts} do not match "
+            f"dataset row counts {dataset.object_counts}"
         )
-        return aggregate_mode((column[t.object_id] for t in targets), domain)
-    (target,) = targets
-    return column[target.object_id]
+    slots = [s for c in dataset.schema.classes for s in c.reference_slots]
+    expected = sum(dataset.object_counts[s.owner_class] for s in slots)
+    if len(skeleton.links) != expected:
+        raise ValueError(
+            f"skeleton has {len(skeleton.links)} links, the dataset's foreign "
+            f"keys {expected}"
+        )
+    for slot in slots:
+        ours, theirs = skeleton.fk_column(slot), dataset.fk_column(slot)
+        if not np.array_equal(ours, theirs):
+            oid = int(np.flatnonzero(ours != theirs)[0])
+            raise ValueError(
+                f"skeleton and dataset disagree on {slot.name} of object {oid}: "
+                f"{ours[oid]} != {theirs[oid]}"
+            )
 
 
 def count_contingencies(
@@ -75,33 +87,30 @@ def count_contingencies(
     """Tally child states against evaluated parent configurations.
 
     Every configuration in the full parent product appears, so zero rows are
-    explicit and the score's configuration sums are well defined.
+    explicit and the score's configuration sums are well defined. The
+    skeleton must carry exactly the dataset's foreign keys (ValueError
+    otherwise).
     """
     schema = dataset.schema
     if tuple(len(c.attributes) for c in schema.classes) != structure.attr_counts:
         raise ValueError("dataset schema does not match the dependency structure")
+    _check_same_links(dataset, skeleton)
+    chains = chain_matrices((d.slot_chain for d in structure.dependencies), dataset)
+    columns = dataset.attribute_columns()
     families: dict[AttributeNode, dict[tuple[int, ...], list[int]]] = {}
     for ci, cls in enumerate(schema.classes):
-        table = dataset.tables[ci]
         for ai, attr in enumerate(cls.attributes):
             node = AttributeNode(ci, ai)
             parents = structure.parents_of(node)
-            sizes = [
-                len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
-                for d in parents
-            ]
-            counts = {
-                config: [0] * len(attr.domain)
-                for config in itertools.product(*(range(s) for s in sizes))
-            }
-            child_col = table.attr_values[ai]
-            for oid in range(table.row_count):
-                obj = ObjectRef(ci, oid)
-                config = tuple(
-                    _parent_value(dataset, skeleton, d, obj) for d in parents
-                )
-                counts[config][child_col[oid]] += 1
-            families[node] = counts
+            k = len(attr.domain)
+            configs = list(
+                itertools.product(*(range(s) for s in parent_sizes(schema, parents)))
+            )
+            index = parent_configurations(
+                schema, parents, chains, columns, dataset.tables[ci].row_count
+            )
+            tally = np.bincount(index * k + columns[node], minlength=len(configs) * k)
+            families[node] = dict(zip(configs, tally.reshape(-1, k).tolist()))
     return ContingencyCounts(families)
 
 
@@ -152,7 +161,6 @@ def marginal_report(dataset: Dataset, prm: Prm) -> dict[str, float | int]:
     """Diagnostics: parentless-marginal L1 gaps, indegree stats, empty aggregates."""
     schema = dataset.schema
     out: dict[str, float | int] = {"rows.total": dataset.total_rows}
-    skeleton = skeleton_from_dataset(dataset)
 
     for cpd in prm.cpds:
         ci, ai = cpd.child.class_index, cpd.child.attribute_index
@@ -172,25 +180,31 @@ def marginal_report(dataset: Dataset, prm: Prm) -> dict[str, float | int]:
         out[f"marginal_l1.{name}"] = round(l1, 6)
 
     for ci, cls in enumerate(schema.classes):
-        indeg = Counter()
-        for (owner, slot), target in skeleton.links.items():
-            if target.class_index == ci:
-                indeg[target.object_id] += 1
-        if indeg:
-            out[f"indegree_max.{cls.name}"] = max(indeg.values())
+        referrers = [
+            dataset.fk_column(slot)
+            for other in schema.classes
+            for slot in other.reference_slots
+            if slot.referenced_class == ci
+        ]
+        if not referrers:
+            continue
+        indeg = np.bincount(np.concatenate(referrers))
+        total = int(indeg.sum())
+        if total:
+            out[f"indegree_max.{cls.name}"] = int(indeg.max())
             out[f"indegree_mean.{cls.name}"] = round(
-                sum(indeg.values()) / dataset.tables[ci].row_count, 6
+                total / dataset.tables[ci].row_count, 6
             )
 
-    empty_aggregates = 0
-    for dep in prm.structure.dependencies:
-        if dep.slot_chain is None or not dep.slot_chain.is_multi_valued:
-            continue
-        ci = dep.child.class_index
-        for oid in range(dataset.tables[ci].row_count):
-            if not resolve_slot_chain(skeleton, ObjectRef(ci, oid), dep.slot_chain):
-                empty_aggregates += 1
-    out["empty_aggregate_events"] = empty_aggregates
+    multi = [
+        d.slot_chain
+        for d in prm.structure.dependencies
+        if d.slot_chain.is_multi_valued
+    ]
+    chains = chain_matrices(multi, dataset)
+    out["empty_aggregate_events"] = sum(
+        int(np.count_nonzero(np.diff(chains[c].indptr) == 0)) for c in multi
+    )
     return out
 
 

@@ -82,10 +82,6 @@ class RelationalSkeleton:
     def total_objects(self) -> int:
         return sum(self.object_counts)
 
-    def objects_of(self, class_index: int):
-        for oid in range(self.object_counts[class_index]):
-            yield ObjectRef(class_index, oid)
-
     def target_of(self, obj: ObjectRef, slot: ReferenceSlot) -> ObjectRef:
         return self.links[(obj, slot)]
 
@@ -100,10 +96,35 @@ class RelationalSkeleton:
         """Owner ids linking to ``target_id`` through ``slot`` (may be empty)."""
         return self._referrers.get((slot, target_id), ())
 
-    def indegree(self, obj: ObjectRef) -> int:
-        return sum(
-            1 for target in self.links.values() if target == obj
-        )
+    @cached_property
+    def _fk_columns(self) -> dict[ReferenceSlot, np.ndarray]:
+        owners: dict[ReferenceSlot, list[int]] = {}
+        targets: dict[ReferenceSlot, list[int]] = {}
+        for (owner, slot), target in self.links.items():
+            owners.setdefault(slot, []).append(owner.object_id)
+            targets.setdefault(slot, []).append(target.object_id)
+        columns = {}
+        for slot, ids in owners.items():
+            column = np.full(self.object_counts[slot.owner_class], -1, dtype=np.int32)
+            column[ids] = targets[slot]
+            columns[slot] = column
+        return columns
+
+    def fk_column(self, slot: ReferenceSlot) -> np.ndarray:
+        """Target id of every object of the slot's owner class, by object id.
+
+        This is the columnar form of ``links`` that grounding and sampling
+        read; it is built once, from one pass over ``links``.
+        """
+        column = self._fk_columns.get(slot)
+        if column is None:
+            column = np.full(self.object_counts[slot.owner_class], -1, dtype=np.int32)
+        if len(column) and column.min() < 0:
+            oid = int(np.argmin(column))
+            raise ValueError(
+                f"skeleton leaves slot {slot.name} of object {oid} unassigned"
+            )
+        return column
 
 
 def crp_choose(

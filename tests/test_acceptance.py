@@ -88,7 +88,7 @@ def test_criterion_1_structural_soundness_sweep():
         sk = generate_skeleton(schema, CrpConfig(n_total=60), rng)
         sk_report = validate_skeleton(sk, schema)
         assert sk_report.is_valid, (seed, sk_report.findings)
-        gbn = ground(prm, sk)  # raises GroundingError on any cycle
+        gbn = ground(prm, sk)  # raises CyclicGraphError on a cyclic attribute DAG
         edges = set()
         for nid, node in enumerate(gbn.nodes):
             for entry in node.parents:

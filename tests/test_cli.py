@@ -3,8 +3,12 @@ import sqlite3
 import subprocess
 import sys
 
+import prmbench.cli
 from prmbench.cli import parse_config, run_cli, run_pipeline
-from prmbench.export import parse_prm
+from prmbench.export import parse_prm, read_csv_dataset
+from prmbench.gbn import skeleton_from_dataset
+from prmbench.metrics import count_contingencies
+from prmbench.skeleton import RelationalSkeleton
 
 
 def _digest(directory):
@@ -121,3 +125,41 @@ def test_module_entry_point(tmp_path):
     )
     assert usage.returncode == 2
     assert "usage" in usage.stderr.lower()
+
+
+def test_out_of_memory_exits_1_with_message(tmp_path, monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError
+
+    monkeypatch.setattr(prmbench.cli, "run_pipeline", exhausted)
+    assert run_cli(["--classes", "2", "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory")
+    assert "Traceback" not in err
+
+
+def test_link_lookups_stay_within_link_count(tmp_path, monkeypatch):
+    # Deterministic complexity gate: resolving slot chains one object at a
+    # time made 5.8M link lookups on this case; set-at-a-time resolution
+    # reads each link at most once.
+    calls = [0]
+    target_of = RelationalSkeleton.target_of
+    referrers = RelationalSkeleton.referrers
+
+    def counted_target_of(self, obj, slot):
+        calls[0] += 1
+        return target_of(self, obj, slot)
+
+    def counted_referrers(self, slot, target_id):
+        calls[0] += 1
+        return referrers(self, slot, target_id)
+
+    monkeypatch.setattr(RelationalSkeleton, "target_of", counted_target_of)
+    monkeypatch.setattr(RelationalSkeleton, "referrers", counted_referrers)
+    args = ["--classes", "4", "--objects", "2500", "--seed", "7"]
+    assert run_cli(args + ["--out", str(tmp_path), "--format", "csv"]) == 0
+    prm = parse_prm((tmp_path / "model.xml").read_text(encoding="utf-8"))
+    dataset = read_csv_dataset(prm.schema, tmp_path)
+    skeleton = skeleton_from_dataset(dataset)
+    count_contingencies(dataset, skeleton, prm.structure)
+    assert calls[0] <= len(skeleton.links)

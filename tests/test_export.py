@@ -103,6 +103,22 @@ def test_parse_rejects_unnormalized_row_naming_attribute():
         parse_prm(broken)
 
 
+def test_parse_rejects_non_finite_row_with_line_context():
+    # NaN compares false with everything, so a NaN row slips past both the
+    # sign check and the sum check unless entries are required finite.
+    prm, _, _ = _pipeline(1, n=2)
+    text = serialize_prm(prm)
+    first_row_start = text.index("<row>") + 5
+    first_row_end = text.index("</row>", first_row_start)
+    width = len(text[first_row_start:first_row_end].split())
+    for bad in ("nan", "inf"):
+        broken = (
+            text[:first_row_start] + " ".join([bad] * width) + text[first_row_end:]
+        )
+        with pytest.raises(ModelFormatError, match=r"line \d+: .*non-finite"):
+            parse_prm(broken)
+
+
 def test_parse_rejects_dangling_chain_slot():
     prm, _, _ = _pipeline(2, n=3)
     text = serialize_prm(prm)

@@ -2,9 +2,11 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import sparse
 
 from prmbench.dag import DagPolicy
 from prmbench.deps import (
+    AttributeNode,
     Slot,
     SlotChain,
     assign_slot_chains,
@@ -15,8 +17,10 @@ from prmbench.deps import (
 from prmbench.gbn import (
     AggregateParent,
     aggregate_mode,
+    chain_matrices,
     forward_sample,
     ground,
+    mode_rows,
     resolve_slot_chain,
     skeleton_from_dataset,
 )
@@ -24,7 +28,7 @@ from prmbench.schema import GenerationPolicy, generate_schema
 from prmbench.skeleton import CrpConfig, ObjectRef, generate_skeleton, validate_skeleton
 
 from conftest import MOVIE, USER, VOTE, build_movie_prm, links_as_plain_table
-from helpers import oracle_is_acyclic, oracle_resolve_chain
+from helpers import oracle_forward_sample, oracle_is_acyclic, oracle_resolve_chain
 
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
@@ -82,6 +86,76 @@ def test_resolve_matches_bruteforce_oracle(movie_schema, movie_slots):
                 assert {(o.class_index, o.object_id) for o in got} == want
 
 
+def _random_walk_chain(schema, rng, max_len=4):
+    steps = [[] for _ in schema.classes]
+    for cls in schema.classes:
+        for s in cls.reference_slots:
+            steps[s.owner_class].append(Slot(s, False))
+            steps[s.referenced_class].append(Slot(s, True))
+    at = int(rng.integers(len(schema.classes)))
+    chain = SlotChain(at)
+    for _ in range(int(rng.integers(0, max_len + 1))):
+        if steps[at]:
+            slot = steps[at][int(rng.integers(len(steps[at])))]
+            chain = SlotChain(chain.source_class, chain.slots + (slot,))
+            at = slot.end_class
+    return chain
+
+
+def _assert_rows_match_oracles(sk, chains):
+    table = links_as_plain_table(sk)
+    matrices = chain_matrices(chains, sk)
+    for chain in chains:
+        matrix = matrices[chain]
+        assert matrix.shape[0] == sk.object_counts[chain.source_class]
+        for oid in range(matrix.shape[0]):
+            row = matrix.indices[matrix.indptr[oid] : matrix.indptr[oid + 1]]
+            assert list(row) == sorted(row)
+            got = {(chain.end_class, int(t)) for t in row}
+            start = ObjectRef(chain.source_class, oid)
+            walked = resolve_slot_chain(sk, start, chain)
+            assert got == {(o.class_index, o.object_id) for o in walked}
+            assert got == oracle_resolve_chain(table, (chain.source_class, oid), chain)
+
+
+def test_chain_matrix_rows_match_both_oracles_on_random_pipelines():
+    rng = np.random.default_rng(2024)
+    seen_inverse = seen_repeat = seen_empty = 0
+    for seed in range(40):
+        n = 2 + seed % 4
+        prm, sk, _ = _random_pipeline(seed, n=n, n_total=30, k_max=1 + seed % 4)
+        chains = [d.slot_chain for d in prm.structure.dependencies]
+        chains += [_random_walk_chain(prm.schema, rng) for _ in range(4)]
+        _assert_rows_match_oracles(sk, chains)
+        for chain in chains:
+            seen_inverse += chain.is_multi_valued
+            seen_repeat += len({s.base for s in chain.slots}) < chain.length
+            seen_empty += chain.length == 0
+    assert min(seen_inverse, seen_repeat, seen_empty) >= 10
+
+
+def test_chain_matrix_rows_match_both_oracles_on_movie_fixture(
+    movie_skeleton, movie_slots
+):
+    movie_slot, user_slot = movie_slots
+    _assert_rows_match_oracles(
+        movie_skeleton,
+        [
+            SlotChain(VOTE),
+            SlotChain(MOVIE),
+            SlotChain(VOTE, (Slot(movie_slot),)),
+            SlotChain(MOVIE, (Slot(movie_slot, True),)),
+            SlotChain(USER, (Slot(user_slot, True), Slot(movie_slot))),
+            SlotChain(MOVIE, (Slot(movie_slot, True), Slot(movie_slot))),
+            SlotChain(
+                VOTE,
+                (Slot(movie_slot), Slot(movie_slot, True), Slot(user_slot),
+                 Slot(user_slot, True), Slot(movie_slot)),
+            ),
+        ],
+    )
+
+
 def test_simplification_changes_semantics_on_shared_sink_schemas():
     # Boundary documentation: with two classes referencing a shared sink, a
     # trailing inverse/forward pair through the *other* referrer is not
@@ -136,6 +210,26 @@ def test_mode_empty_default():
 def test_mode_rejects_tiny_domain():
     with pytest.raises(ValueError):
         aggregate_mode([0], 1)
+    with pytest.raises(ValueError):
+        mode_rows(sparse.csr_array((1, 1), dtype=bool), np.zeros(1, np.int64), 1)
+
+
+def test_mode_rows_matches_aggregate_mode():
+    rng = np.random.default_rng(11)
+    ties = empties = 0
+    for _ in range(300):
+        rows, cols = int(rng.integers(0, 8)), int(rng.integers(0, 9))
+        domain = int(rng.integers(2, 5))
+        members = sparse.csr_array(rng.random((rows, cols)) < rng.random())
+        column = rng.integers(0, domain, size=cols)
+        got = mode_rows(members, column, domain)
+        for i in range(rows):
+            values = column[members.indices[members.indptr[i] : members.indptr[i + 1]]]
+            assert got[i] == aggregate_mode(values.tolist(), domain)
+            tally = np.bincount(values, minlength=domain)
+            ties += len(values) > 0 and (tally == tally.max()).sum() > 1
+            empties += len(values) == 0
+    assert ties >= 20 and empties >= 20
 
 
 # --- grounding -------------------------------------------------------------------
@@ -204,6 +298,27 @@ def test_ground_graph_acyclic_against_oracle():
         assert oracle_is_acyclic(len(gbn.nodes), edges)
 
 
+def test_node_view_matches_per_object_resolution():
+    for seed in range(15):
+        prm, sk, _ = _random_pipeline(seed, n=3, n_total=25)
+        gbn = ground(prm, sk)
+        for node in gbn.nodes:
+            ci = node.object.class_index
+            parents = prm.cpd_for(AttributeNode(ci, node.attribute_index)).parent_order
+            assert len(node.parents) == len(parents)
+            for dep, entry in zip(parents, node.parents):
+                targets = resolve_slot_chain(sk, node.object, dep.slot_chain)
+                ids = tuple(
+                    sorted(gbn.node_id(t, dep.parent.attribute_index) for t in targets)
+                )
+                if dep.slot_chain.is_multi_valued:
+                    pa, pi = dep.parent.class_index, dep.parent.attribute_index
+                    domain = len(prm.schema.attribute(pa, pi).domain)
+                    assert entry == AggregateParent(dep.aggregator, ids, domain)
+                else:
+                    assert (entry,) == ids
+
+
 def test_multi_valued_parents_become_aggregates():
     for seed in range(60):
         prm, sk, _ = _random_pipeline(seed, n=3, n_total=25)
@@ -270,6 +385,17 @@ def test_dataset_referential_integrity():
                 assert all(0 <= t < limit for t in targets)
             for ai, attr in enumerate(cls.attributes):
                 assert all(0 <= v < len(attr.domain) for v in table.attr_values[ai])
+
+
+def test_forward_sample_matches_scalar_oracle():
+    # The oracle walks one object at a time but consumes the stream in the
+    # same order, so every sampled state must agree exactly.
+    for seed in range(20):
+        prm, sk, _ = _random_pipeline(seed, n=2 + seed % 3, n_total=40)
+        ds = forward_sample(ground(prm, sk), np.random.default_rng(seed))
+        want = oracle_forward_sample(prm, sk, np.random.default_rng(seed))
+        for (ci, ai), states in want.items():
+            assert list(ds.tables[ci].attr_values[ai]) == states
 
 
 def test_sampling_determinism_and_seed_sensitivity():

@@ -107,6 +107,34 @@ def test_counts_match_naive_reresolution_oracle():
         assert naive == got
 
 
+def test_counts_and_report_match_per_object_oracles():
+    from helpers import oracle_count_contingencies, oracle_marginal_report
+
+    for seed in range(30):
+        prm, sk, ds = _sampled(seed, n=2 + seed % 4, n_total=50, k_max=1 + seed % 3)
+        counts = count_contingencies(ds, sk, prm.structure)
+        assert counts.families == oracle_count_contingencies(ds, sk, prm.structure)
+        assert marginal_report(ds, prm) == oracle_marginal_report(ds, prm)
+
+
+def test_counts_reject_skeleton_that_disagrees_with_dataset(movie_schema, movie_skeleton):
+    from prmbench.skeleton import ObjectRef, RelationalSkeleton
+
+    prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
+    ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
+    movie_slot = movie_schema.classes[VOTE].reference_slots[0]
+    links = dict(movie_skeleton.links)
+    key = (ObjectRef(VOTE, 3), movie_slot)
+    links[key] = ObjectRef(MOVIE, (links[key].object_id + 1) % 5)
+    moved = RelationalSkeleton(movie_skeleton.object_counts, links)
+    with pytest.raises(ValueError, match="disagree on movie of object 3"):
+        count_contingencies(ds, moved, prm.structure)
+
+    resized = RelationalSkeleton((5, 4, 9), movie_skeleton.links)
+    with pytest.raises(ValueError, match="object counts"):
+        count_contingencies(ds, resized, prm.structure)
+
+
 def test_counts_schema_mismatch_rejected(movie_schema, movie_skeleton):
     prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
     ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
