@@ -30,7 +30,7 @@ from scipy import sparse
 from .dag import topological_order
 from .deps import AttributeNode, Cpd, Prm, Slot, SlotChain
 from .schema import RelationalSchema, ReferenceSlot
-from .skeleton import ObjectRef, RelationalSkeleton
+from .skeleton import ObjectRef, RelationalSkeleton, check_targets
 
 __all__ = [
     "AggregateParent",
@@ -110,13 +110,23 @@ def mode_rows(
 _AGGREGATE_ROWS = {"MODE": mode_rows}
 
 
+def _functional(targets: np.ndarray, n_targets: int) -> sparse.csr_array:
+    """Boolean CSR matrix with one nonzero per row i, at column targets[i]."""
+    indptr = np.arange(len(targets) + 1, dtype=targets.dtype)
+    return sparse.csr_array(
+        (np.ones(len(targets), dtype=bool), targets, indptr),
+        shape=(len(targets), n_targets),
+    )
+
+
 def chain_matrices(chains, links) -> dict[SlotChain, sparse.csr_array]:
     """Resolve each distinct chain for every object of its source class.
 
     ``links`` is a :class:`RelationalSkeleton` or a :class:`Dataset`: anything
-    with ``object_counts`` and ``fk_column(slot)``. Row i of a chain's boolean
-    CSR matrix lists, in ascending order, the ids of the objects the chain
-    reaches from object i: the set :func:`resolve_slot_chain` returns.
+    with ``object_counts`` and a range-checked ``fk_column(slot)``. Row i of a
+    chain's boolean CSR matrix lists, in ascending order, the ids of the
+    objects the chain reaches from object i: the set
+    :func:`resolve_slot_chain` returns.
 
     The slot matrices multiply left to right, so each intermediate product
     holds exactly the deduplicated per-step object sets of the one-object
@@ -130,24 +140,23 @@ def chain_matrices(chains, links) -> dict[SlotChain, sparse.csr_array]:
     for chain in chains:
         if chain in out:
             continue
-        resolved = sparse.eye_array(
-            counts[chain.source_class], format="csr", dtype=bool
-        )
+        resolved = None
         for slot in chain.slots:
             step = incidence.get(slot)
             if step is None:
                 base = slot.base
-                n_owner = counts[base.owner_class]
-                fk = links.fk_column(base)
-                indptr = np.arange(n_owner + 1, dtype=fk.dtype)
-                step = sparse.csr_array(
-                    (np.ones(n_owner, dtype=bool), fk, indptr),
-                    shape=(n_owner, counts[base.referenced_class]),
+                # The column's ids become raw CSR indices, which scipy does
+                # not bound-check; fk_column guarantees 0 <= id < count.
+                step = _functional(
+                    links.fk_column(base), counts[base.referenced_class]
                 )
                 if slot.inverted:
                     step = step.T.tocsr()
                 incidence[slot] = step
-            resolved = resolved @ step
+            resolved = step if resolved is None else resolved @ step
+        if resolved is None:  # the empty chain reaches its start object
+            n = counts[chain.source_class]
+            resolved = _functional(np.arange(n, dtype=np.int32), n)
         resolved.sort_indices()
         out[chain] = resolved
     return out
@@ -321,10 +330,15 @@ class Dataset:
         return tuple(t.row_count for t in self.tables)
 
     def fk_column(self, slot: ReferenceSlot) -> np.ndarray:
-        """Target id of every row of the slot's owner table."""
-        return np.asarray(
-            self.tables[slot.owner_class].fk_values[slot.name], dtype=np.int32
+        """Target id of every row of the slot's owner table.
+
+        Raises ValueError if an id is not a row of the referenced table.
+        """
+        column = np.asarray(
+            self.tables[slot.owner_class].fk_values[slot.name], dtype=np.int64
         )
+        check_targets(column, slot, self.object_counts[slot.referenced_class])
+        return column.astype(np.int32)
 
     def attribute_columns(self) -> dict[AttributeNode, np.ndarray]:
         """State column of every attribute."""

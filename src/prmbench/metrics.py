@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln
 
-from .deps import AttributeNode, DependencyStructure, Prm
+from .deps import AttributeNode, DependencyStructure, Prm, SlotChain
 from .gbn import Dataset, chain_matrices, parent_configurations, parent_sizes
 from .skeleton import RelationalSkeleton
 
@@ -196,16 +196,31 @@ def marginal_report(dataset: Dataset, prm: Prm) -> dict[str, float | int]:
                 total / dataset.tables[ci].row_count, 6
             )
 
-    multi = [
-        d.slot_chain
+    out["empty_aggregate_events"] = sum(
+        int(np.count_nonzero(~_reaches_any(dataset, d.slot_chain)))
         for d in prm.structure.dependencies
         if d.slot_chain.is_multi_valued
-    ]
-    chains = chain_matrices(multi, dataset)
-    out["empty_aggregate_events"] = sum(
-        int(np.count_nonzero(np.diff(chains[c].indptr) == 0)) for c in multi
     )
     return out
+
+
+def _reaches_any(dataset: Dataset, chain: SlotChain) -> np.ndarray:
+    """Per object of the chain's source class: does the chain reach any object?
+
+    Walks the chain backwards with one boolean vector, so it never builds the
+    reached sets; cost is one pass over each slot's foreign keys.
+    """
+    reaches = np.ones(dataset.object_counts[chain.end_class], dtype=bool)
+    for slot in reversed(chain.slots):
+        fk = dataset.fk_column(slot.base)
+        if slot.inverted:
+            # A target reaches something iff some owner linking to it does.
+            step = np.zeros(dataset.object_counts[slot.start_class], dtype=bool)
+            step[fk[reaches]] = True
+            reaches = step
+        else:
+            reaches = reaches[fk]
+    return reaches
 
 
 def render_report(report: dict[str, float | int]) -> str:

@@ -32,6 +32,7 @@ __all__ = [
     "NewObject",
     "ObjectRef",
     "RelationalSkeleton",
+    "check_targets",
     "crp_choose",
     "generate_skeleton",
     "validate_skeleton",
@@ -105,7 +106,7 @@ class RelationalSkeleton:
             targets.setdefault(slot, []).append(target.object_id)
         columns = {}
         for slot, ids in owners.items():
-            column = np.full(self.object_counts[slot.owner_class], -1, dtype=np.int32)
+            column = np.full(self.object_counts[slot.owner_class], _UNASSIGNED)
             column[ids] = targets[slot]
             columns[slot] = column
         return columns
@@ -114,17 +115,37 @@ class RelationalSkeleton:
         """Target id of every object of the slot's owner class, by object id.
 
         This is the columnar form of ``links`` that grounding and sampling
-        read; it is built once, from one pass over ``links``.
+        read; it is built once, from one pass over ``links``. Raises
+        ValueError if an object has no target or a target is not an object
+        of the referenced class.
         """
         column = self._fk_columns.get(slot)
         if column is None:
-            column = np.full(self.object_counts[slot.owner_class], -1, dtype=np.int32)
-        if len(column) and column.min() < 0:
-            oid = int(np.argmin(column))
+            column = np.full(self.object_counts[slot.owner_class], _UNASSIGNED)
+        missing = np.flatnonzero(column == _UNASSIGNED)
+        if len(missing):
             raise ValueError(
-                f"skeleton leaves slot {slot.name} of object {oid} unassigned"
+                f"skeleton leaves slot {slot.name} of object {missing[0]} unassigned"
             )
-        return column
+        check_targets(column, slot, self.object_counts[slot.referenced_class])
+        return column.astype(np.int32)
+
+
+_UNASSIGNED = np.iinfo(np.int64).min
+
+
+def check_targets(column: np.ndarray, slot: ReferenceSlot, n_targets: int) -> None:
+    """Raise ValueError unless every id in ``column`` is in ``range(n_targets)``.
+
+    ``column`` holds the slot's target id per owner object, as int64.
+    """
+    bad = np.flatnonzero((column < 0) | (column >= n_targets))
+    if len(bad):
+        oid = int(bad[0])
+        raise ValueError(
+            f"slot {slot.name} of object {oid} links to {column[oid]}, but the "
+            f"referenced class has {n_targets} objects"
+        )
 
 
 def crp_choose(

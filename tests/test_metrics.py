@@ -135,6 +135,40 @@ def test_counts_reject_skeleton_that_disagrees_with_dataset(movie_schema, movie_
         count_contingencies(ds, resized, prm.structure)
 
 
+@pytest.mark.parametrize("bad_id", [5, -1])
+def test_out_of_range_foreign_key_is_rejected(movie_schema, movie_skeleton, bad_id):
+    # Foreign keys become raw sparse-matrix indices, which scipy does not
+    # bound-check, so they must be checked before any matrix is built.
+    import dataclasses
+
+    from prmbench.gbn import skeleton_from_dataset
+    from prmbench.skeleton import ObjectRef, RelationalSkeleton
+
+    prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
+    ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
+    votes = ds.tables[VOTE]
+    movie_fk = list(votes.fk_values["movie"])
+    movie_fk[3] = bad_id  # the movie table has 5 rows
+    tables = list(ds.tables)
+    tables[VOTE] = dataclasses.replace(
+        votes, fk_values={**votes.fk_values, "movie": tuple(movie_fk)}
+    )
+    bad = dataclasses.replace(ds, tables=tuple(tables))
+    message = f"slot movie of object 3 links to {bad_id}, but the referenced class has 5"
+    with pytest.raises(ValueError, match=message):
+        count_contingencies(bad, skeleton_from_dataset(bad), prm.structure)
+    with pytest.raises(ValueError, match=message):
+        count_contingencies(bad, movie_skeleton, prm.structure)
+    with pytest.raises(ValueError, match=message):
+        marginal_report(bad, prm)
+
+    movie_slot = movie_schema.classes[VOTE].reference_slots[0]
+    links = dict(movie_skeleton.links)
+    links[(ObjectRef(VOTE, 3), movie_slot)] = ObjectRef(MOVIE, bad_id)
+    with pytest.raises(ValueError, match=message):
+        ground(prm, RelationalSkeleton(movie_skeleton.object_counts, links))
+
+
 def test_counts_schema_mismatch_rejected(movie_schema, movie_skeleton):
     prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
     ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
