@@ -32,6 +32,7 @@ from .deps import (
     Prm,
     Slot,
     SlotChain,
+    SlotChainCounts,
     assign_slot_chains,
     canonical_parent_order,
     draw_slot_chain,

@@ -12,8 +12,12 @@ multi-valued.
 Slot chains compose reference slots (owner to referenced class) and inverse
 slots (referenced back to owners, one-to-many). A chain is multi-valued as
 soon as it crosses one inverse slot. Chains are simplified by repeatedly
-dropping a trailing (inverse(s), s) pair, and chain enumeration deduplicates
-candidates by their simplified form, keeping the shorter representative.
+dropping a trailing (inverse(s), s) pair, so the candidates between two
+classes are exactly the walks whose last two steps are not such a pair.
+:class:`SlotChainCounts` counts those walks by length with a dynamic
+program and unranks the drawn one, so no candidate list is ever built;
+:func:`enumerate_slot_chains` materializes the same list and is kept as the
+reference enumerator.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dag import Dag, generate_random_dag
+from .dag import Dag, _reaches, generate_random_dag
 from .schema import GenerationPolicy, ReferenceSlot, RelationalSchema, poisson_inverse
 
 __all__ = [
@@ -38,6 +42,7 @@ __all__ = [
     "Prm",
     "Slot",
     "SlotChain",
+    "SlotChainCounts",
     "assign_slot_chains",
     "canonical_parent_order",
     "draw_slot_chain",
@@ -136,9 +141,7 @@ class DependencyStructure:
 
     def attribute_dag(self) -> Dag:
         """Flat attribute-level DAG (edges parent -> child)."""
-        offsets = [0]
-        for c in self.attr_counts:
-            offsets.append(offsets[-1] + c)
+        offsets = _flat_offsets(self.attr_counts)
 
         def flat(node: AttributeNode) -> int:
             return offsets[node.class_index] + node.attribute_index
@@ -225,24 +228,6 @@ def _flat_offsets(attr_counts):
     return offsets
 
 
-def _reaches_flat(adj: list[int], src: int, dst: int) -> bool:
-    dst_bit = 1 << dst
-    seen = 0
-    frontier = adj[src]
-    while frontier:
-        if frontier & dst_bit:
-            return True
-        seen |= frontier
-        nxt = 0
-        m = frontier
-        while m:
-            b = m & -m
-            m ^= b
-            nxt |= adj[b.bit_length() - 1]
-        frontier = nxt & ~seen
-    return False
-
-
 def generate_dependency_structure(
     schema: RelationalSchema,
     policy: GenerationPolicy | None = None,
@@ -290,7 +275,7 @@ def generate_dependency_structure(
                         continue
                     if adj[parent] >> child & 1:
                         continue
-                    if _reaches_flat(adj, child, parent):
+                    if _reaches(adj, child, parent):
                         continue  # parent -> child would close a cycle
                     adj[parent] |= 1 << child
                     candidates.append((parent, child))
@@ -360,9 +345,11 @@ def enumerate_slot_chains(
 ) -> tuple[SlotChain, ...]:
     """All chains of length 0..k_max from one class to another.
 
-    Breadth-first over the slot graph; the result is deduplicated by
-    simplified form (keeping the shorter representative) and ordered by
-    (length, text) so downstream draws are reproducible.
+    The reference enumerator: breadth-first over every walk of the slot
+    graph, deduplicated by simplified form (keeping the shorter
+    representative) and ordered by (length, text). Its cost grows with the
+    number of walks, exponential in the horizon, so the pipeline counts
+    candidates with :class:`SlotChainCounts` instead and never calls it.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -405,6 +392,97 @@ def draw_slot_chain(chains, rng: np.random.Generator) -> SlotChain:
     return chains[min(idx, len(chains) - 1)]
 
 
+class SlotChainCounts:
+    """Candidate slot chains into one class, counted instead of listed.
+
+    ``occ(c)[l]`` equals ``Counter(x.length for x in
+    enumerate_slot_chains(schema, c, to_class, k_max))[l]`` and
+    ``unrank(c, l, i)`` returns the ``i``-th chain of length ``l`` in that
+    list's ``(length, text)`` order. A candidate is a walk whose last two
+    steps are not ``(~s, s)``, so one table of completion counts per
+    (remaining steps, current class) suffices: only a final step that
+    undoes the step before it is barred. Building the table costs
+    O(k_max * steps) Python-int additions, and counts stay exact at any
+    size. The schema must be valid (:func:`validate_schema`) and its slot
+    names free of ``/``, as the chain text requires.
+    """
+
+    def __init__(self, schema: RelationalSchema, to_class: int, k_max: int):
+        if k_max < 0:
+            raise ValueError("k_max must be >= 0")
+        n = len(schema.classes)
+        if not 0 <= to_class < n:
+            raise ValueError("class index out of range")
+        self.to_class = to_class
+        self.k_max = k_max
+        steps = _slot_steps(schema)
+        # Chain text puts "/" after every token but the last, so steps sort
+        # by token + "/". The last step needs no order of its own: with one
+        # slot per class edge and no cycle, one step at most enters to_class.
+        self._steps = [tuple(sorted(s, key=lambda x: x.token + "/")) for s in steps]
+        self._counts = [[int(c == to_class) for c in range(n)]]
+        for r in range(1, k_max + 1):
+            self._counts.append(
+                [sum(self._completions(r - 1, s) for s in steps[c]) for c in range(n)]
+            )
+
+    def _completions(self, r: int, step: Slot) -> int:
+        """Candidates that take ``step`` and then exactly ``r`` more steps."""
+        n = self._counts[r][step.end_class]
+        if r == 1 and step.inverted and step.base.referenced_class == self.to_class:
+            n -= 1  # the last step may not be the forward slot of ``step``
+        return n
+
+    def occ(self, from_class: int) -> tuple[int, ...]:
+        """Candidate count per length 0..k_max from ``from_class``."""
+        if not 0 <= from_class < len(self._steps):
+            raise ValueError("class index out of range")
+        return tuple(row[from_class] for row in self._counts)
+
+    def unrank(self, from_class: int, length: int, rank: int) -> SlotChain:
+        if not (0 <= length <= self.k_max and 0 <= rank < self.occ(from_class)[length]):
+            raise IndexError(f"no chain of length {length} with rank {rank}")
+        at, slots = from_class, []
+        for r in range(length - 1, -1, -1):
+            blocked = slots[-1].base if slots and slots[-1].inverted else None
+            for step in self._steps[at]:
+                if r == 0 and not step.inverted and step.base == blocked:
+                    continue
+                n = self._completions(r, step)
+                if rank < n:
+                    break
+                rank -= n
+            slots.append(step)
+            at = step.end_class
+        return SlotChain(from_class, tuple(slots))
+
+    def draw(self, from_class: int, rng: np.random.Generator) -> SlotChain:
+        """Draw the chain ``draw_slot_chain`` would draw from the full list.
+
+        Consumes one ``rng.random()`` value ``u``, picks the length whose
+        mass ``occ(l) * exp(-l / occ(l))`` covers ``u`` times the total,
+        then the rank within it. The masses are summed per length rather
+        than per chain, so a ``u`` within float rounding of a boundary
+        between two neighbouring chains may pick the other one. Above
+        2**53 candidates one double cannot address every chain: ranks
+        are exact integers, but only as fine as ``u``.
+        """
+        occ = {l: n for l, n in enumerate(self.occ(from_class)) if n}
+        if not occ:
+            raise ValueError("no candidate slot chains")
+        weight = {l: float(np.exp(-l / n)) for l, n in occ.items()}
+        target = rng.random() * sum(n * weight[l] for l, n in occ.items())
+        prefix = 0.0
+        last = max(occ)
+        for length, n in occ.items():
+            mass = n * weight[length]
+            if target < prefix + mass or length == last:
+                break
+            prefix += mass
+        rank = min(int((target - prefix) // weight[length]), n - 1)
+        return self.unrank(from_class, length, rank)
+
+
 def assign_slot_chains(
     schema: RelationalSchema,
     structure: DependencyStructure,
@@ -417,9 +495,11 @@ def assign_slot_chains(
     The effective horizon is ``max(k_max, N - 1)`` so classes joined only by
     a long referential path are still reachable. Intra-class dependencies
     bind the empty chain directly; inter-class ones draw from the weighted
-    candidate list. A dependency whose classes admit no chain within the
-    horizon is dropped with a logged diagnostic (unreachable for connected
-    schemas at the default horizon).
+    candidates, counted by :class:`SlotChainCounts` (one table per parent
+    class) rather than enumerated. A dependency whose classes admit no
+    chain within the horizon is dropped with a logged diagnostic
+    (unreachable for connected schemas at the default horizon) and draws
+    nothing from ``rng``.
     """
     if k_max < 0:
         raise ValueError("k_max must be >= 0")
@@ -428,26 +508,25 @@ def assign_slot_chains(
     rng = rng if rng is not None else np.random.default_rng()
     k_eff = max(k_max, len(schema.classes) - 1)
 
-    cand_cache: dict[tuple[int, int], tuple[SlotChain, ...]] = {}
+    tables: dict[int, SlotChainCounts] = {}
     assigned: list[Dependency] = []
     for dep in structure.dependencies:
-        if dep.child.class_index == dep.parent.class_index:
+        source, target = dep.child.class_index, dep.parent.class_index
+        if source == target:
             assigned.append(
-                replace(dep, slot_chain=SlotChain(dep.child.class_index), aggregator=None)
+                replace(dep, slot_chain=SlotChain(source), aggregator=None)
             )
             continue
-        endpoints = (dep.child.class_index, dep.parent.class_index)
-        cands = cand_cache.get(endpoints)
-        if cands is None:
-            cands = enumerate_slot_chains(schema, *endpoints, k_eff)
-            cand_cache[endpoints] = cands
-        if not cands:
+        table = tables.get(target)
+        if table is None:
+            table = tables[target] = SlotChainCounts(schema, target, k_eff)
+        if not any(table.occ(source)):
             log.warning(
                 "dropping dependency %s <- %s: no slot chain within k_max=%d",
                 dep.child, dep.parent, k_eff,
             )
             continue
-        chain = draw_slot_chain(cands, rng)
+        chain = table.draw(source, rng)
         aggregator = None
         if chain.is_multi_valued:
             aggregator = aggregators[int(rng.integers(len(aggregators)))]

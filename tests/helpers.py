@@ -236,3 +236,29 @@ def oracle_forward_sample(prm, skeleton, rng):
             column.append(state)
         states[(ci, ai)] = column
     return states
+
+
+def oracle_assign_slot_chains(schema, structure, k_max, rng, aggregators=("MODE",)):
+    """Slot-chain assignment that draws from the fully enumerated list."""
+    from dataclasses import replace
+
+    from prmbench.deps import SlotChain, draw_slot_chain, enumerate_slot_chains
+
+    k_eff = max(k_max, len(schema.classes) - 1)
+    cands = {}
+    assigned = []
+    for dep in structure.dependencies:
+        source, target = dep.child.class_index, dep.parent.class_index
+        if source == target:
+            assigned.append(replace(dep, slot_chain=SlotChain(source), aggregator=None))
+            continue
+        if (source, target) not in cands:
+            cands[source, target] = enumerate_slot_chains(schema, source, target, k_eff)
+        if not cands[source, target]:
+            continue  # dropped, drawing nothing
+        chain = draw_slot_chain(cands[source, target], rng)
+        aggregator = None
+        if chain.is_multi_valued:
+            aggregator = aggregators[int(rng.integers(len(aggregators)))]
+        assigned.append(replace(dep, slot_chain=chain, aggregator=aggregator))
+    return replace(structure, dependencies=tuple(assigned), k_max=k_eff)

@@ -163,3 +163,27 @@ def test_link_lookups_stay_within_link_count(tmp_path, monkeypatch):
     skeleton = skeleton_from_dataset(dataset)
     count_contingencies(dataset, skeleton, prm.structure)
     assert calls[0] <= len(skeleton.links)
+
+
+def test_pipeline_never_enumerates_slot_chains(tmp_path, monkeypatch):
+    # Deterministic complexity gate: the slowest wide case spent over 98%
+    # of its time listing every walk; counting chains lists none.
+    import prmbench.deps
+
+    calls = [0]
+    enumerate_slot_chains = prmbench.deps.enumerate_slot_chains
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return enumerate_slot_chains(*args, **kwargs)
+
+    monkeypatch.setattr(prmbench.deps, "enumerate_slot_chains", counted)
+    args = ["--classes", "9", "--objects", "500", "--seed", "1"]
+    assert run_cli(args + ["--out", str(tmp_path), "--format", "csv"]) == 0
+    assert calls[0] == 0
+
+
+def test_twelve_classes_complete(tmp_path):
+    # Enumerating chains at horizon 11 needed more than 1.5 GB here.
+    args = ["--classes", "12", "--objects", "200", "--seed", "0"]
+    assert run_cli(args + ["--out", str(tmp_path), "--format", "csv"]) == 0

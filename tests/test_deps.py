@@ -11,6 +11,7 @@ from prmbench.deps import (
     Dependency,
     Slot,
     SlotChain,
+    SlotChainCounts,
     assign_slot_chains,
     canonical_parent_order,
     draw_slot_chain,
@@ -22,7 +23,7 @@ from prmbench.deps import (
 )
 from prmbench.schema import GenerationPolicy, generate_schema
 
-from helpers import oracle_is_acyclic
+from helpers import oracle_assign_slot_chains, oracle_is_acyclic
 
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
@@ -259,10 +260,13 @@ def test_assign_drops_unreachable_dependency_with_diagnostic(caplog):
     )
     dep = Dependency(child=AttributeNode(0, 0), parent=AttributeNode(1, 0))
     structure = DependencyStructure((dep,), (1, 1))
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
     with caplog.at_level(logging.WARNING, logger="prmbench.deps"):
-        annotated = assign_slot_chains(schema, structure, 3, np.random.default_rng(0))
+        annotated = assign_slot_chains(schema, structure, 3, rng)
     assert annotated.dependencies == ()
     assert any("dropping dependency" in r.message for r in caplog.records)
+    assert rng.bit_generator.state == state  # a dropped dependency draws nothing
 
 
 def test_assign_aggregator_iff_multi_valued():
@@ -294,6 +298,142 @@ def test_toy_shape_chain_lengths_and_mode(movie_schema):
             break
     assert {1, 2, 3} <= seen_lengths
     assert seen_mode
+
+
+# --- counted chains against the enumeration ----------------------------------
+
+
+def _random_schemas(count=40):
+    rng = np.random.default_rng(123)
+    return [generate_schema(2 + i % 5, FAST, rng) for i in range(count)]
+
+
+def _unrank_all(table, from_class):
+    return [
+        table.unrank(from_class, length, rank)
+        for length, count in enumerate(table.occ(from_class))
+        for rank in range(count)
+    ]
+
+
+def test_counts_match_enumeration_for_every_pair_and_horizon():
+    for schema in _random_schemas():
+        n = len(schema.classes)
+        for to_class in range(n):
+            tables = [SlotChainCounts(schema, to_class, h) for h in range(6)]
+            for from_class in range(n):
+                for h, table in enumerate(tables):
+                    occ = Counter(
+                        c.length
+                        for c in enumerate_slot_chains(schema, from_class, to_class, h)
+                    )
+                    assert table.occ(from_class) == tuple(occ[l] for l in range(h + 1))
+
+
+def test_unranking_reproduces_enumeration_order():
+    for schema in _random_schemas():
+        n = len(schema.classes)
+        for to_class in range(n):
+            table = SlotChainCounts(schema, to_class, 5)
+            for from_class in range(n):
+                assert _unrank_all(table, from_class) == list(
+                    enumerate_slot_chains(schema, from_class, to_class, 5)
+                )
+
+
+def test_unranking_follows_text_order_when_names_sort_below_slash():
+    # "-" sorts below "/", so chain text puts "a-b/~a-b" before "a/~a"
+    # although the token "a" sorts before "a-b".
+    from prmbench.dag import Dag
+    from prmbench.schema import AttributeDef, ClassDef, ReferenceSlot, RelationalSchema
+
+    attrs = (AttributeDef("att0", ("v0", "v1")),)
+    slots = (ReferenceSlot("a", 0, 1), ReferenceSlot("a-b", 0, 2))
+    schema = RelationalSchema(
+        (
+            ClassDef("x", "xid", attrs, slots),
+            ClassDef("y", "yid", attrs, (ReferenceSlot("c", 1, 2),)),
+            ClassDef("z", "zid", attrs),
+        ),
+        Dag(3, frozenset({(0, 1), (0, 2), (1, 2)})),
+    )
+    for to_class in range(3):
+        table = SlotChainCounts(schema, to_class, 4)
+        for from_class in range(3):
+            assert _unrank_all(table, from_class) == list(
+                enumerate_slot_chains(schema, from_class, to_class, 4)
+            )
+    texts = [c.text for c in enumerate_slot_chains(schema, 0, 0, 2) if c.length == 2]
+    assert texts == ["a-b/~a-b", "a/~a"]
+
+
+def test_counts_validate_arguments(movie_schema):
+    with pytest.raises(ValueError):
+        SlotChainCounts(movie_schema, 0, -1)
+    with pytest.raises(ValueError):
+        SlotChainCounts(movie_schema, 3, 2)
+    table = SlotChainCounts(movie_schema, 0, 3)
+    with pytest.raises(ValueError):
+        table.occ(-1)
+    assert table.occ(2) == (0, 1, 0, 1)
+    with pytest.raises(IndexError):
+        table.unrank(2, 1, 1)
+    with pytest.raises(IndexError):
+        table.unrank(2, 4, 0)
+
+
+# The pipelines the enumeration was retired on: 4 classes at the fanout
+# seeds, 9 classes at the wide seeds, and 2-8 classes at seeds 20-39.
+_PIPELINES = (
+    [(4, s) for s in range(12)]
+    + [(9, s) for s in range(3)]
+    + [(n, s) for n in range(2, 9) for s in range(20, 40)]
+)
+
+
+def test_assignment_matches_enumeration_oracle_with_same_stream():
+    from prmbench.schema import GenerationPolicy
+
+    for classes, seed in _PIPELINES:
+        rng = np.random.default_rng(seed)
+        policy = GenerationPolicy()
+        schema = generate_schema(classes, policy, rng)
+        structure = generate_dependency_structure(schema, policy, rng)
+        oracle_rng = np.random.default_rng()
+        oracle_rng.bit_generator.state = rng.bit_generator.state
+        got = assign_slot_chains(schema, structure, 3, rng)
+        want = oracle_assign_slot_chains(schema, structure, 3, oracle_rng)
+        assert got == want, (classes, seed)
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+class _FixedUniforms:
+    def __init__(self, values):
+        self.values = list(values)
+
+    def random(self):
+        return self.values.pop(0)
+
+
+def test_draw_matches_enumeration_inside_every_chain_and_at_length_boundaries():
+    for schema in _random_schemas(15):
+        n = len(schema.classes)
+        for to_class in range(n):
+            table = SlotChainCounts(schema, to_class, 5)
+            for from_class in range(n):
+                chains = enumerate_slot_chains(schema, from_class, to_class, 5)
+                if not chains:
+                    continue
+                cum = np.cumsum(slot_chain_weights(chains))
+                ends = [i for i in range(len(chains) - 1)
+                        if chains[i].length != chains[i + 1].length]
+                us = [0.0, float(np.nextafter(1.0, 0.0))]
+                us += [float(x) for x in (np.concatenate(([0.0], cum[:-1])) + cum) / 2]
+                for i in ends:
+                    us += [cum[i] * (1 - 1e-12), min(cum[i] * (1 + 1e-12), us[1])]
+                for u in us:
+                    want = draw_slot_chain(chains, _FixedUniforms([u]))
+                    assert table.draw(from_class, _FixedUniforms([u])) == want, u
 
 
 # --- CPDs ----------------------------------------------------------------------
