@@ -38,10 +38,12 @@ from __future__ import annotations
 import csv
 import itertools
 import math
+import operator
 import xml.etree.ElementTree as ET
 from pathlib import Path
 from xml.parsers import expat
 
+import numpy as np
 
 from .dag import CyclicGraphError, Dag, topological_order
 from .deps import (
@@ -376,6 +378,15 @@ def _table_order(schema: RelationalSchema) -> tuple[int, ...]:
     return topological_order(schema.class_dag.reversed())
 
 
+def _column_names(cls: ClassDef) -> list[str]:
+    """Primary key, foreign keys, attributes: the column order of SQL and CSV."""
+    return (
+        [cls.primary_key]
+        + [slot.name for slot in cls.reference_slots]
+        + [attr.name for attr in cls.attributes]
+    )
+
+
 def _quote(label: str) -> str:
     return "'" + label.replace("'", "''") + "'"
 
@@ -397,22 +408,15 @@ def emit_sql(schema: RelationalSchema, dataset: Dataset) -> str:
     for ci in order:
         cls = schema.classes[ci]
         table = dataset.tables[ci]
-        col_names = (
-            [cls.primary_key]
-            + [slot.name for slot in cls.reference_slots]
-            + [attr.name for attr in cls.attributes]
-        )
-        head = f"INSERT INTO {cls.name} ({', '.join(col_names)}) VALUES "
-        for oid in range(table.row_count):
-            values = [str(oid)]
-            values += [
-                str(table.fk_values[slot.name][oid]) for slot in cls.reference_slots
-            ]
-            values += [
-                _quote(attr.domain[table.attr_values[ai][oid]])
-                for ai, attr in enumerate(cls.attributes)
-            ]
-            out.append(f"{head}({', '.join(values)});")
+        head = f"INSERT INTO {cls.name} ({', '.join(_column_names(cls))}) VALUES "
+        columns = [map(str, range(table.row_count))]
+        columns += [
+            map(str, table.fk_values[slot.name].tolist()) for slot in cls.reference_slots
+        ]
+        for ai, attr in enumerate(cls.attributes):
+            labels = [_quote(label) for label in attr.domain]
+            columns.append(map(labels.__getitem__, table.attr_values[ai].tolist()))
+        out.extend(f"{head}({', '.join(values)});" for values in zip(*columns))
     return "\n".join(out) + "\n"
 
 
@@ -429,55 +433,130 @@ def emit_csv(schema: RelationalSchema, dataset: Dataset, directory) -> list[Path
         path = directory / f"{cls.name}.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(
-                [cls.primary_key]
-                + [slot.name for slot in cls.reference_slots]
-                + [attr.name for attr in cls.attributes]
-            )
-            for oid in range(table.row_count):
-                row = [oid]
-                row += [table.fk_values[slot.name][oid] for slot in cls.reference_slots]
-                row += [
-                    attr.domain[table.attr_values[ai][oid]]
-                    for ai, attr in enumerate(cls.attributes)
-                ]
-                writer.writerow(row)
+            writer.writerow(_column_names(cls))
+            columns = [range(table.row_count)]
+            columns += [
+                table.fk_values[slot.name].tolist() for slot in cls.reference_slots
+            ]
+            columns += [
+                map(attr.domain.__getitem__, table.attr_values[ai].tolist())
+                for ai, attr in enumerate(cls.attributes)
+            ]
+            writer.writerows(zip(*columns))
         paths.append(path)
     return paths
 
 
 def read_csv_dataset(schema: RelationalSchema, directory) -> Dataset:
-    """Inverse of :func:`emit_csv`, used for round-trip verification."""
+    """Inverse of :func:`emit_csv`, used for round-trip verification.
+
+    Each ``<class>.csv`` must carry the primary keys 0..n-1 once each, in any
+    order, foreign keys that are rows of the referenced file and labels from
+    the attribute domains. Raises ValueError naming the file and line of the
+    first violation.
+    """
     directory = Path(directory)
-    tables = []
-    for ci, cls in enumerate(schema.classes):
+    tables: dict[int, ClassTable] = {}
+    # Referenced tables first, so that foreign keys are checked as they are read.
+    for ci in _table_order(schema):
+        cls = schema.classes[ci]
         path = directory / f"{cls.name}.csv"
         with open(path, encoding="utf-8", newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        expected = (
-            [cls.primary_key]
-            + [slot.name for slot in cls.reference_slots]
-            + [attr.name for attr in cls.attributes]
-        )
-        if header != expected:
-            raise ValueError(f"{path}: header {header} does not match schema")
-        body.sort(key=lambda r: int(r[0]))
-        n_slots = len(cls.reference_slots)
-        fk_values = {
-            slot.name: tuple(int(r[1 + si]) for r in body)
-            for si, slot in enumerate(cls.reference_slots)
-        }
-        attr_values = tuple(
-            tuple(attr.domain.index(r[1 + n_slots + ai]) for r in body)
-            for ai, attr in enumerate(cls.attributes)
-        )
-        tables.append(
-            ClassTable(
-                class_index=ci,
-                row_count=len(body),
-                fk_values=fk_values,
-                attr_values=attr_values,
-            )
-        )
-    return Dataset(schema=schema, tables=tuple(tables))
+            records = list(csv.reader(fh))
+        row_counts = {c: t.row_count for c, t in tables.items()}
+        tables[ci] = _parse_table(path, ci, cls, records, row_counts)
+    return Dataset(schema=schema, tables=tuple(tables[ci] for ci in sorted(tables)))
+
+
+def _line_of(path: Path, record: int) -> int:
+    """File line on which CSV record ``record`` (0 is the header) ends."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        for _ in itertools.islice(reader, record + 1):
+            pass
+        return reader.line_num
+
+
+def _parse_table(
+    path: Path, ci: int, cls: ClassDef, records: list, row_counts: dict[int, int]
+) -> ClassTable:
+    """One class's CSV records as int32 columns, rows ordered by primary key.
+
+    ``row_counts`` holds the row count of every class this one references.
+    """
+
+    def fail(row: int, message: str):
+        raise ValueError(f"{path}, line {_line_of(path, row + 1)}: {message}")
+
+    if not records:
+        raise ValueError(f"{path}: empty file, expected a header")
+    header, body = records[0], records[1:]
+    expected = _column_names(cls)
+    if header != expected:
+        raise ValueError(f"{path}, line 1: header {header} does not match schema")
+    width, n = len(expected), len(body)
+    if set(map(len, body)) - {width}:
+        row = next(r for r, record in enumerate(body) if len(record) != width)
+        fail(row, f"{len(body[row])} fields, expected {width}")
+
+    def field(k: int) -> list[str]:
+        return list(map(operator.itemgetter(k), body))
+
+    def ids(texts, what: str) -> np.ndarray:
+        low, high = np.iinfo(np.int32).min, np.iinfo(np.int32).max
+        try:
+            values = np.fromiter(map(int, texts), dtype=np.int64, count=n)
+        except (ValueError, OverflowError):
+            values = None
+        if values is None or (n and (values.min() < low or values.max() > high)):
+            for row, text in enumerate(texts):
+                try:
+                    value = int(text)
+                except ValueError:
+                    fail(row, f"{what} {text!r} is not an integer")
+                if not low <= value <= high:
+                    fail(row, f"{what} {value} does not fit in 32 bits")
+        return values.astype(np.int32)
+
+    pk = ids(field(0), f"primary key {cls.primary_key}")
+    outside = np.flatnonzero((pk < 0) | (pk >= n))
+    if len(outside):
+        present = np.zeros(n, dtype=bool)
+        present[pk[(pk >= 0) & (pk < n)]] = True
+        missing = int(np.flatnonzero(~present)[0])
+        row = int(outside[0])
+        fail(row, f"primary key {pk[row]} is not in 0..{n - 1}; key {missing} is missing")
+    # n keys in 0..n-1: a repeated key is the only way to miss one.
+    order = np.argsort(pk, kind="stable")
+    repeated = np.flatnonzero(pk[order][1:] == pk[order][:-1])
+    if len(repeated):
+        first, again = order[repeated[0]], int(order[repeated[0] + 1])
+        line = _line_of(path, first + 1)
+        fail(again, f"duplicate primary key {pk[again]}, first on line {line}")
+
+    n_slots = len(cls.reference_slots)
+    fk_values = {}
+    for si, slot in enumerate(cls.reference_slots):
+        column = ids(field(1 + si), f"foreign key {slot.name}")
+        m = row_counts[slot.referenced_class]
+        dangling = np.flatnonzero((column < 0) | (column >= m))
+        if len(dangling):
+            row = int(dangling[0])
+            fail(row, f"foreign key {slot.name} {column[row]} is not in 0..{m - 1}")
+        fk_values[slot.name] = column
+    attr_values = []
+    for ai, attr in enumerate(cls.attributes):
+        texts = field(1 + n_slots + ai)
+        state = {label: i for i, label in enumerate(attr.domain)}
+        try:
+            column = np.fromiter(map(state.__getitem__, texts), dtype=np.int32, count=n)
+        except KeyError:
+            row = next(r for r, text in enumerate(texts) if text not in state)
+            fail(row, f"unknown label {texts[row]!r} for attribute {attr.name}")
+        attr_values.append(column)
+    if np.any(pk != np.arange(n)):  # rows were not in key order
+        fk_values = {name: column[order] for name, column in fk_values.items()}
+        attr_values = [column[order] for column in attr_values]
+    return ClassTable(
+        class_index=ci, row_count=n, fk_values=fk_values, attr_values=tuple(attr_values)
+    )

@@ -30,12 +30,13 @@ from scipy import sparse
 from .dag import topological_order
 from .deps import AttributeNode, Cpd, Prm, Slot, SlotChain
 from .schema import RelationalSchema, ReferenceSlot
-from .skeleton import ObjectRef, RelationalSkeleton, check_targets
+from .skeleton import ObjectRef, RelationalSkeleton, check_targets, int32_column
 
 __all__ = [
     "AggregateParent",
     "Dataset",
     "ClassTable",
+    "Column",
     "GbnNode",
     "GroundBayesianNetwork",
     "aggregate_mode",
@@ -306,14 +307,53 @@ def ground(prm: Prm, sk: RelationalSkeleton) -> GroundBayesianNetwork:
     return GroundBayesianNetwork(prm=prm, skeleton=sk, order=order, chains=chains)
 
 
-@dataclass(frozen=True)
+class Column(np.ndarray):
+    """A read-only int32 column of a :class:`ClassTable`.
+
+    A plain ndarray plus the sequence method ``count``.
+    """
+
+    def count(self, value) -> int:
+        return int(np.count_nonzero(self == value))
+
+
+def _column(values) -> Column:
+    return int32_column(values).view(Column)
+
+
+@dataclass(frozen=True, eq=False)
 class ClassTable:
-    """Sampled tuples of one class: ids, foreign keys, attribute states."""
+    """Sampled rows of one class: ids, foreign keys, attribute states.
+
+    Row i is object i. Every column is a read-only int32 array (a
+    :class:`Column`) with one entry per row; sequences given here are
+    converted.
+    """
 
     class_index: int
     row_count: int
-    fk_values: dict[str, tuple[int, ...]]  # slot name -> target id per row
-    attr_values: tuple[tuple[int, ...], ...]  # per attribute, state per row
+    fk_values: dict[str, Column]  # slot name -> target id per row
+    attr_values: tuple[Column, ...]  # per attribute, state per row
+
+    def __post_init__(self):
+        fks = {name: _column(ids) for name, ids in self.fk_values.items()}
+        object.__setattr__(self, "fk_values", fks)
+        object.__setattr__(self, "attr_values", tuple(map(_column, self.attr_values)))
+
+    def __eq__(self, other):
+        if not isinstance(other, ClassTable):
+            return NotImplemented
+        return (
+            self.class_index == other.class_index
+            and self.row_count == other.row_count
+            and self.fk_values.keys() == other.fk_values.keys()
+            and all(
+                np.array_equal(ids, other.fk_values[name])
+                for name, ids in self.fk_values.items()
+            )
+            and len(self.attr_values) == len(other.attr_values)
+            and all(map(np.array_equal, self.attr_values, other.attr_values))
+        )
 
 
 @dataclass(frozen=True)
@@ -334,16 +374,14 @@ class Dataset:
 
         Raises ValueError if an id is not a row of the referenced table.
         """
-        column = np.asarray(
-            self.tables[slot.owner_class].fk_values[slot.name], dtype=np.int64
-        )
+        column = self.tables[slot.owner_class].fk_values[slot.name].view(np.ndarray)
         check_targets(column, slot, self.object_counts[slot.referenced_class])
-        return column.astype(np.int32)
+        return column
 
     def attribute_columns(self) -> dict[AttributeNode, np.ndarray]:
         """State column of every attribute."""
         return {
-            AttributeNode(t.class_index, ai): np.asarray(values, dtype=np.int64)
+            AttributeNode(t.class_index, ai): values.view(np.ndarray)
             for t in self.tables
             for ai, values in enumerate(t.attr_values)
         }
@@ -370,19 +408,15 @@ def forward_sample(
         cumulative = np.cumsum(_cpd_rows(schema, cpd), axis=1)
         u = rng.random(n)
         states = (u[:, None] >= cumulative[index]).sum(axis=1)
-        columns[node] = np.minimum(states, cumulative.shape[1] - 1)
+        columns[node] = np.minimum(states, cumulative.shape[1] - 1).astype(np.int32)
 
     tables = tuple(
         ClassTable(
             class_index=ci,
             row_count=sk.object_counts[ci],
-            fk_values={
-                slot.name: tuple(sk.fk_column(slot).tolist())
-                for slot in cls.reference_slots
-            },
+            fk_values={slot.name: sk.fk_column(slot) for slot in cls.reference_slots},
             attr_values=tuple(
-                tuple(columns[AttributeNode(ci, ai)].tolist())
-                for ai in range(len(cls.attributes))
+                columns[AttributeNode(ci, ai)] for ai in range(len(cls.attributes))
             ),
         )
         for ci, cls in enumerate(schema.classes)
@@ -391,15 +425,13 @@ def forward_sample(
 
 
 def skeleton_from_dataset(dataset: Dataset) -> RelationalSkeleton:
-    """Rebuild the link structure carried by a dataset's foreign keys."""
-    schema = dataset.schema
-    links: dict[tuple[ObjectRef, ReferenceSlot], ObjectRef] = {}
-    for table in dataset.tables:
-        cls = schema.classes[table.class_index]
-        for slot in cls.reference_slots:
-            targets = table.fk_values[slot.name]
-            for oid, tid in enumerate(targets):
-                links[(ObjectRef(table.class_index, oid), slot)] = ObjectRef(
-                    slot.referenced_class, tid
-                )
-    return RelationalSkeleton(object_counts=dataset.object_counts, links=links)
+    """The link structure carried by a dataset's foreign keys.
+
+    The skeleton shares the dataset's foreign-key columns; nothing is copied.
+    """
+    columns = {
+        slot: dataset.tables[ci].fk_values[slot.name]
+        for ci, cls in enumerate(dataset.schema.classes)
+        for slot in cls.reference_slots
+    }
+    return RelationalSkeleton(object_counts=dataset.object_counts, columns=columns)

@@ -14,16 +14,20 @@ every object always carries exactly one target per slot.
 Passes repeat until the requested object total is reached; once the total is
 hit mid-pass, the remaining choices of that pass are forced onto existing
 objects so the overshoot stays below one object per class.
+
+The result is columnar: one int32 array per reference slot holding, for
+each object of the owning class, the id of the object it links to.
 """
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .dag import CyclicGraphError, Dag, topological_order
 from .schema import ReferenceSlot, RelationalSchema, ValidationReport
 
 __all__ = [
@@ -35,6 +39,7 @@ __all__ = [
     "check_targets",
     "crp_choose",
     "generate_skeleton",
+    "int32_column",
     "validate_skeleton",
 ]
 
@@ -67,77 +72,141 @@ class CrpConfig:
             raise ValueError("n_total must be >= 1")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RelationalSkeleton:
-    """Objects per class plus one link per (object, reference slot).
+    """Objects per class plus one foreign-key column per reference slot.
 
-    ``iteration_counts`` records how many objects each generation pass
-    created (empty for hand-built skeletons).
+    ``columns[slot][i]`` is the id, within the slot's referenced class, of
+    the object that object i of the slot's owner class links to. Columns are
+    read-only int32 arrays; -1 marks a missing link, which only a hand-built
+    skeleton can have. ``iteration_counts`` records how many objects each
+    generation pass created (empty for hand-built skeletons).
     """
 
     object_counts: tuple[int, ...]
-    links: dict[tuple[ObjectRef, ReferenceSlot], ObjectRef]
+    columns: Mapping[ReferenceSlot, np.ndarray]
     iteration_counts: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(
+            self,
+            "columns",
+            {slot: int32_column(ids) for slot, ids in self.columns.items()},
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, RelationalSkeleton):
+            return NotImplemented
+        return (
+            self.object_counts == other.object_counts
+            and self.iteration_counts == other.iteration_counts
+            and self.columns.keys() == other.columns.keys()
+            and all(
+                np.array_equal(column, other.columns[slot])
+                for slot, column in self.columns.items()
+            )
+        )
 
     @property
     def total_objects(self) -> int:
         return sum(self.object_counts)
 
-    def target_of(self, obj: ObjectRef, slot: ReferenceSlot) -> ObjectRef:
-        return self.links[(obj, slot)]
+    @property
+    def links(self) -> Mapping[tuple[ObjectRef, ReferenceSlot], ObjectRef]:
+        """The columns as an ``(owner, slot) -> target`` mapping.
+
+        A read-only view for tracing and tests; the pipeline never reads
+        it. Its length is cached, and it builds ``ObjectRef`` pairs only
+        when iterated or indexed.
+        """
+        return _LinkView(self)
 
     @cached_property
-    def _referrers(self) -> dict[tuple[ReferenceSlot, int], tuple[int, ...]]:
-        acc: dict[tuple[ReferenceSlot, int], list[int]] = {}
-        for (owner, slot), target in self.links.items():
-            acc.setdefault((slot, target.object_id), []).append(owner.object_id)
-        return {k: tuple(sorted(v)) for k, v in acc.items()}
+    def _link_count(self) -> int:
+        return sum(int(np.count_nonzero(c != -1)) for c in self.columns.values())
+
+    def target_of(self, obj: ObjectRef, slot: ReferenceSlot) -> ObjectRef:
+        """The object ``obj`` links to through ``slot``; KeyError if none."""
+        column = self.columns.get(slot)
+        oid = obj.object_id
+        if (
+            column is None
+            or obj.class_index != slot.owner_class
+            or not 0 <= oid < len(column)
+            or column[oid] == -1
+        ):
+            raise KeyError((obj, slot))
+        return ObjectRef(slot.referenced_class, int(column[oid]))
 
     def referrers(self, slot: ReferenceSlot, target_id: int) -> tuple[int, ...]:
-        """Owner ids linking to ``target_id`` through ``slot`` (may be empty)."""
-        return self._referrers.get((slot, target_id), ())
+        """Owner ids linking to ``target_id`` through ``slot``, ascending.
 
-    @cached_property
-    def _fk_columns(self) -> dict[ReferenceSlot, np.ndarray]:
-        owners: dict[ReferenceSlot, list[int]] = {}
-        targets: dict[ReferenceSlot, list[int]] = {}
-        for (owner, slot), target in self.links.items():
-            owners.setdefault(slot, []).append(owner.object_id)
-            targets.setdefault(slot, []).append(target.object_id)
-        columns = {}
-        for slot, ids in owners.items():
-            column = np.full(self.object_counts[slot.owner_class], _UNASSIGNED)
-            column[ids] = targets[slot]
-            columns[slot] = column
-        return columns
+        One scan of the slot's column per call: this serves the per-object
+        reference walk :func:`~prmbench.gbn.resolve_slot_chain`, not the
+        pipeline.
+        """
+        if target_id < 0 or slot not in self.columns:
+            return ()
+        return tuple(np.flatnonzero(self.columns[slot] == target_id).tolist())
 
     def fk_column(self, slot: ReferenceSlot) -> np.ndarray:
         """Target id of every object of the slot's owner class, by object id.
 
-        This is the columnar form of ``links`` that grounding and sampling
-        read; it is built once, from one pass over ``links``. Raises
-        ValueError if an object has no target or a target is not an object
-        of the referenced class.
+        This is the stored column that grounding and sampling read. Raises
+        ValueError if the column is absent or has the wrong length, or if an
+        id is not an object of the referenced class (a missing link reads
+        as -1).
         """
-        column = self._fk_columns.get(slot)
-        if column is None:
-            column = np.full(self.object_counts[slot.owner_class], _UNASSIGNED)
-        missing = np.flatnonzero(column == _UNASSIGNED)
-        if len(missing):
+        column = self.columns.get(slot)
+        n = self.object_counts[slot.owner_class]
+        if column is None or len(column) != n:
+            size = "no" if column is None else len(column)
             raise ValueError(
-                f"skeleton leaves slot {slot.name} of object {missing[0]} unassigned"
+                f"skeleton has {size} entries in slot {slot.name} for {n} objects"
             )
         check_targets(column, slot, self.object_counts[slot.referenced_class])
-        return column.astype(np.int32)
+        return column
 
 
-_UNASSIGNED = np.iinfo(np.int64).min
+class _LinkView(Mapping):
+    """``(owner, slot) -> target`` over a skeleton's columns; see ``links``."""
+
+    def __init__(self, skeleton: RelationalSkeleton):
+        self._skeleton = skeleton
+
+    def __len__(self) -> int:
+        return self._skeleton._link_count
+
+    def __getitem__(self, key):
+        return self._skeleton.target_of(*key)
+
+    def __iter__(self):
+        for slot, column in self._skeleton.columns.items():
+            for oid in np.flatnonzero(column != -1).tolist():
+                yield ObjectRef(slot.owner_class, oid), slot
+
+
+def int32_column(ids) -> np.ndarray:
+    """``ids`` as a read-only int32 array, without a copy if already int32.
+
+    Raises ValueError if an id does not fit in int32, so that no id can wrap
+    into range.
+    """
+    column = np.asarray(ids)
+    if column.dtype != np.int32:
+        wide = column.astype(np.int64)
+        column = wide.astype(np.int32)
+        if not np.array_equal(column, wide):
+            raise ValueError(f"id {wide[column != wide][0]} does not fit in int32")
+    column = column.view()
+    column.flags.writeable = False
+    return column
 
 
 def check_targets(column: np.ndarray, slot: ReferenceSlot, n_targets: int) -> None:
     """Raise ValueError unless every id in ``column`` is in ``range(n_targets)``.
 
-    ``column`` holds the slot's target id per owner object, as int64.
+    ``column`` holds the slot's target id per owner object.
     """
     bad = np.flatnonzero((column < 0) | (column >= n_targets))
     if len(bad):
@@ -201,54 +270,64 @@ def generate_skeleton(
         raise ValueError("schema has a referential cycle: no root class")
 
     counts = [0] * n_classes
-    indegrees: list[list[int]] = [[] for _ in range(n_classes)]
     # One entry per unit of indegree; a uniform pick over this list is a
     # pick proportional to indegree, which keeps attachment O(1).
     balls: list[list[int]] = [[] for _ in range(n_classes)]
-    links: dict[tuple[ObjectRef, ReferenceSlot], ObjectRef] = {}
+    # Target ids per slot. An object's slots are all bound before the next
+    # object of its class is created (no class reaches itself), so appending
+    # keeps each column in owner id order.
+    columns = {s: array("i") for c in schema.classes for s in c.reference_slots}
+    # Per class, per slot: (referenced class, append to the slot's column).
+    slots_of = [
+        [(s.referenced_class, columns[s].append) for s in c.reference_slots]
+        for c in schema.classes
+    ]
+    alpha, n_total = cfg.alpha, cfg.n_total
+    random, integers = rng.random, rng.integers
     total = 0
     iteration_counts: list[int] = []
 
-    def make_object(ci: int) -> int:
-        nonlocal total
-        oid = counts[ci]
-        counts[ci] += 1
-        indegrees[ci].append(0)
-        total += 1
-        return oid
-
-    def grow(obj: ObjectRef) -> None:
-        # Depth first: a freshly created target has all of its own slots
-        # bound before the owner moves on to its next slot.
-        for slot in schema.classes[obj.class_index].reference_slots:
-            ci = slot.referenced_class
-            n_p = counts[obj.class_index]  # includes the owner itself
-            if total >= cfg.n_total:
-                # Budget reached: stop growing unless the class is still empty.
-                make_new = counts[ci] == 0
-            elif rng.random() < cfg.alpha / (n_p - 1 + cfg.alpha):
-                make_new = True
-            else:
-                make_new = counts[ci] == 0  # empty pool falls back to a new object
-            if make_new:
-                target_id = make_object(ci)
-            else:
-                target_id = balls[ci][int(rng.integers(len(balls[ci])))]
-            links[(obj, slot)] = ObjectRef(ci, target_id)
-            indegrees[ci][target_id] += 1
-            balls[ci].append(target_id)
-            if make_new:
-                grow(ObjectRef(ci, target_id))
-
-    while total < cfg.n_total:
+    while total < n_total:
         before = total
-        root = roots[int(rng.integers(len(roots)))] if len(roots) > 1 else roots[0]
-        grow(ObjectRef(root, make_object(root)))
+        root = roots[int(integers(len(roots)))] if len(roots) > 1 else roots[0]
+        counts[root] += 1
+        total += 1
+        # Depth first, on an explicit stack of (class, next slot index): a
+        # freshly created target has all of its own slots bound before its
+        # owner moves on to its next slot.
+        stack = [(root, 0)]
+        while stack:
+            owner, si = stack.pop()
+            slots = slots_of[owner]
+            while si < len(slots):
+                ci, append = slots[si]
+                si += 1
+                n_p = counts[owner]  # includes the owner itself
+                if total >= n_total:
+                    # Budget reached: stop growing unless the class is still empty.
+                    make_new = counts[ci] == 0
+                elif random() < alpha / (n_p - 1 + alpha):
+                    make_new = True
+                else:
+                    make_new = counts[ci] == 0  # empty pool falls back to a new object
+                pool = balls[ci]
+                if make_new:
+                    target_id = counts[ci]
+                    counts[ci] += 1
+                    total += 1
+                else:
+                    target_id = pool[int(integers(len(pool)))]
+                append(target_id)
+                pool.append(target_id)
+                if make_new and slots_of[ci]:
+                    stack.append((owner, si))
+                    stack.append((ci, 0))
+                    break
         iteration_counts.append(total - before)
 
     return RelationalSkeleton(
         object_counts=tuple(counts),
-        links=links,
+        columns={s: np.frombuffer(ids, dtype=np.intc) for s, ids in columns.items()},
         iteration_counts=tuple(iteration_counts),
     )
 
@@ -256,61 +335,72 @@ def generate_skeleton(
 def validate_skeleton(
     sk: RelationalSkeleton, schema: RelationalSchema
 ) -> ValidationReport:
-    """Check the k-partite object-graph properties plus slot totality."""
+    """Check the k-partite object-graph properties plus slot totality.
+
+    Columns cannot hold a link whose owner or target lies in the wrong class,
+    so orientation holds by construction; what remains is that every slot
+    of the schema has a full column of in-range ids (no -1) and that the
+    object graph has no directed cycle.
+    """
     findings: list[str] = []
     n_classes = len(schema.classes)
-    if len(sk.object_counts) != n_classes:
-        return ValidationReport((f"class count mismatch: {len(sk.object_counts)} != {n_classes}",))
+    counts = sk.object_counts
+    if len(counts) != n_classes:
+        return ValidationReport((f"class count mismatch: {len(counts)} != {n_classes}",))
 
-    for (owner, slot), target in sk.links.items():
-        if not (0 <= owner.class_index < n_classes) or not (
-            0 <= owner.object_id < sk.object_counts[owner.class_index]
-        ):
-            findings.append(f"unknown owner object {owner}")
-            continue
-        if slot.owner_class != owner.class_index:
-            findings.append(
-                f"orientation: {slot.name} link recorded on class "
-                f"{owner.class_index}, slot belongs to {slot.owner_class}"
-            )
-        if slot not in schema.classes[owner.class_index].reference_slots:
-            findings.append(f"unknown slot {slot.name} on class {owner.class_index}")
-        if target.class_index != slot.referenced_class:
-            findings.append(
-                f"orientation: {slot.name} points into class {target.class_index}, "
-                f"expected {slot.referenced_class}"
-            )
-        elif not (0 <= target.object_id < sk.object_counts[target.class_index]):
-            findings.append(f"unknown target object {target}")
+    known = {s for c in schema.classes for s in c.reference_slots}
+    findings += [
+        f"unknown slot {slot.name} on class {slot.owner_class}"
+        for slot in sk.columns
+        if slot not in known
+    ]
 
+    offsets = np.cumsum((0,) + counts)
+    sources, targets = [], []
     for ci, cls in enumerate(schema.classes):
-        for oid in range(sk.object_counts[ci]):
-            for slot in cls.reference_slots:
-                if (ObjectRef(ci, oid), slot) not in sk.links:
-                    findings.append(
-                        f"totality: {cls.name} object {oid} slot {slot.name} unassigned"
-                    )
+        for slot in cls.reference_slots:
+            column = sk.columns.get(slot, np.full(counts[ci], -1, dtype=np.int32))
+            if len(column) != counts[ci]:
+                findings.append(
+                    f"totality: slot {slot.name} has {len(column)} entries for "
+                    f"{counts[ci]} {cls.name} objects"
+                )
+                continue
+            findings += [
+                f"totality: {cls.name} object {oid} slot {slot.name} unassigned"
+                for oid in np.flatnonzero(column == -1).tolist()
+            ]
+            n_targets = counts[slot.referenced_class]
+            valid = (column >= 0) & (column < n_targets)
+            findings += [
+                f"unknown target object {slot.referenced_class}:{column[oid]} "
+                f"of {cls.name} object {oid} slot {slot.name}"
+                for oid in np.flatnonzero(~valid & (column != -1)).tolist()
+            ]
+            owners = np.flatnonzero(valid)
+            sources.append(offsets[ci] + owners)
+            targets.append(offsets[slot.referenced_class] + column[owners])
 
-    # Acyclicity of the object graph, via a flat topological sort.
-    offsets = [0]
-    for c in sk.object_counts:
-        offsets.append(offsets[-1] + c)
-    flat_edges = set()
-    for (owner, slot), target in sk.links.items():
-        if (
-            owner.class_index < n_classes
-            and target.class_index < n_classes
-            and owner.object_id < sk.object_counts[owner.class_index]
-            and target.object_id < sk.object_counts[target.class_index]
-        ):
-            u = offsets[owner.class_index] + owner.object_id
-            v = offsets[target.class_index] + target.object_id
-            if u != v:
-                flat_edges.add((u, v))
-    if offsets[-1] >= 1:
-        try:
-            topological_order(Dag(offsets[-1], frozenset(flat_edges)))
-        except CyclicGraphError:
-            findings.append("acyclicity: object graph contains a directed cycle")
-
+    if sources and _has_cycle(
+        int(offsets[-1]), np.concatenate(sources), np.concatenate(targets)
+    ):
+        findings.append("acyclicity: object graph contains a directed cycle")
     return ValidationReport(tuple(findings))
+
+
+def _has_cycle(n: int, sources: np.ndarray, targets: np.ndarray) -> bool:
+    """Whether the flat edge arrays close a directed cycle; self-loops aside.
+
+    Kahn's algorithm a layer at a time: each round drops every node that no
+    remaining node links to, so there are as many rounds as the longest
+    path has nodes, at most the class count when the class graph is acyclic.
+    """
+    keep = sources != targets
+    sources, targets = sources[keep], targets[keep]
+    alive = np.ones(n, dtype=bool)
+    while True:
+        linked = np.zeros(n, dtype=bool)
+        linked[targets[alive[sources]]] = True
+        if not (alive & ~linked).any():
+            return bool(alive.any())
+        alive &= linked

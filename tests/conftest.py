@@ -7,7 +7,9 @@ from prmbench.schema import (
     ReferenceSlot,
     RelationalSchema,
 )
-from prmbench.skeleton import ObjectRef, RelationalSkeleton
+from prmbench.skeleton import ObjectRef
+
+from helpers import skeleton_from_links
 
 # Movie (0) / User (1) / Vote (2): Vote carries one slot into each of the
 # other two classes, mirroring the classic recommender-style exemplar.
@@ -54,7 +56,7 @@ def movie_skeleton(movie_schema):
     for vid, (mid, uid) in enumerate(votes):
         links[(ObjectRef(VOTE, vid), movie_slot)] = ObjectRef(MOVIE, mid)
         links[(ObjectRef(VOTE, vid), user_slot)] = ObjectRef(USER, uid)
-    return RelationalSkeleton(object_counts=(5, 3, 9), links=links)
+    return skeleton_from_links((5, 3, 9), links)
 
 
 @pytest.fixture(scope="session")

@@ -262,3 +262,90 @@ def oracle_assign_slot_chains(schema, structure, k_max, rng, aggregators=("MODE"
             aggregator = aggregators[int(rng.integers(len(aggregators)))]
         assigned.append(replace(dep, slot_chain=chain, aggregator=aggregator))
     return replace(structure, dependencies=tuple(assigned), k_max=k_eff)
+
+
+# --- skeletons ---------------------------------------------------------------
+
+
+def skeleton_from_links(object_counts, links):
+    """A skeleton from a hand-written ``(owner, slot) -> target`` dict.
+
+    Objects without a link on a slot read as -1, the missing-link marker.
+    Raises ValueError on a link whose owner or target class disagrees with
+    its slot: a column indexed by owner id can only hold targets of the
+    slot's referenced class.
+    """
+    from prmbench.skeleton import RelationalSkeleton
+
+    columns = {}
+    for (owner, slot), target in links.items():
+        if owner.class_index != slot.owner_class:
+            raise ValueError(
+                f"orientation: {slot.name} link recorded on class "
+                f"{owner.class_index}, slot belongs to {slot.owner_class}"
+            )
+        if target.class_index != slot.referenced_class:
+            raise ValueError(
+                f"orientation: {slot.name} points into class {target.class_index}, "
+                f"expected {slot.referenced_class}"
+            )
+        column = columns.setdefault(slot, [-1] * object_counts[slot.owner_class])
+        column[owner.object_id] = target.object_id
+    return RelationalSkeleton(tuple(object_counts), columns)
+
+
+def oracle_generate_skeleton(schema, cfg, rng):
+    """The recursive, link-dict skeleton generator the library replaced.
+
+    It makes the same RNG calls in the same order as
+    :func:`prmbench.skeleton.generate_skeleton`, so both must return equal
+    skeletons and leave ``rng`` in the same state.
+    """
+    from prmbench.skeleton import ObjectRef, RelationalSkeleton
+
+    n_classes = len(schema.classes)
+    referenced = {s.referenced_class for c in schema.classes for s in c.reference_slots}
+    roots = [i for i in range(n_classes) if i not in referenced]
+    counts = [0] * n_classes
+    balls = [[] for _ in range(n_classes)]
+    links = {}
+    total = 0
+    iteration_counts = []
+
+    def make_object(ci):
+        nonlocal total
+        oid = counts[ci]
+        counts[ci] += 1
+        total += 1
+        return oid
+
+    def grow(obj):
+        for slot in schema.classes[obj.class_index].reference_slots:
+            ci = slot.referenced_class
+            n_p = counts[obj.class_index]
+            if total >= cfg.n_total:
+                make_new = counts[ci] == 0
+            elif rng.random() < cfg.alpha / (n_p - 1 + cfg.alpha):
+                make_new = True
+            else:
+                make_new = counts[ci] == 0
+            if make_new:
+                target_id = make_object(ci)
+            else:
+                target_id = balls[ci][int(rng.integers(len(balls[ci])))]
+            links[(obj, slot)] = ObjectRef(ci, target_id)
+            balls[ci].append(target_id)
+            if make_new:
+                grow(ObjectRef(ci, target_id))
+
+    while total < cfg.n_total:
+        before = total
+        root = roots[int(rng.integers(len(roots)))] if len(roots) > 1 else roots[0]
+        grow(ObjectRef(root, make_object(root)))
+        iteration_counts.append(total - before)
+    columns = {
+        s: [-1] * counts[s.owner_class] for c in schema.classes for s in c.reference_slots
+    }
+    for (owner, slot), target in links.items():
+        columns[slot][owner.object_id] = target.object_id
+    return RelationalSkeleton(tuple(counts), columns, tuple(iteration_counts))

@@ -183,6 +183,33 @@ def test_pipeline_never_enumerates_slot_chains(tmp_path, monkeypatch):
     assert calls[0] == 0
 
 
+def test_pipeline_never_reads_the_links_view(tmp_path, monkeypatch):
+    # Deterministic gate: the pipeline reads foreign keys as columns. The
+    # (owner, slot) -> target mapping is a view for tracing and tests, and
+    # reading it per link is what made the skeleton the largest cost.
+    calls = [0]
+    links = RelationalSkeleton.links
+
+    def counted(self):
+        calls[0] += 1
+        return links.fget(self)
+
+    monkeypatch.setattr(RelationalSkeleton, "links", property(counted))
+    args = ["--classes", "4", "--objects", "2500", "--seed", "7"]
+    assert run_cli(args + ["--out", str(tmp_path)]) == 0
+    assert calls[0] == 0
+    prm = parse_prm((tmp_path / "model.xml").read_text(encoding="utf-8"))
+    dataset = read_csv_dataset(prm.schema, tmp_path)
+    count_contingencies(dataset, skeleton_from_dataset(dataset), prm.structure)
+    assert calls[0] == 0
+    assert len(skeleton_from_dataset(dataset).links) == sum(
+        dataset.object_counts[s.owner_class]
+        for c in prm.schema.classes
+        for s in c.reference_slots
+    )
+    assert calls[0] == 1  # the patch counts reads
+
+
 def test_twelve_classes_complete(tmp_path):
     # Enumerating chains at horizon 11 needed more than 1.5 GB here.
     args = ["--classes", "12", "--objects", "200", "--seed", "0"]

@@ -237,3 +237,66 @@ def test_csv_roundtrip(tmp_path):
     prm, _, ds = _pipeline(7, n=3, n_total=35)
     emit_csv(prm.schema, ds, tmp_path)
     assert read_csv_dataset(prm.schema, tmp_path) == ds
+
+
+def _movie_csv(tmp_path, movie_schema, movie_skeleton):
+    from conftest import build_movie_prm
+
+    prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
+    ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
+    emit_csv(movie_schema, ds, tmp_path)
+    return ds, tmp_path / "vote.csv"
+
+
+def test_csv_rows_may_come_in_any_key_order(tmp_path, movie_schema, movie_skeleton):
+    ds, path = _movie_csv(tmp_path, movie_schema, movie_skeleton)
+    header, *rows = path.read_text(encoding="utf-8").splitlines()
+    rows = rows[5:] + rows[:5][::-1]
+    path.write_text("\n".join([header] + rows) + "\n", encoding="utf-8")
+    assert read_csv_dataset(movie_schema, tmp_path) == ds
+
+
+def _drop_row_3(lines):
+    del lines[4]  # the row with key 3: a gap, so later foreign keys would shift
+
+
+def _repeat_key_2(lines):
+    lines[6] = "2" + lines[6][1:]
+
+
+def _set_field(line_index, field, text):
+    def edit(lines):
+        fields = lines[line_index].split(",")
+        fields[field] = text
+        lines[line_index] = ",".join(fields)
+
+    return edit
+
+
+def _drop_last_field(lines):
+    lines[3] = lines[3].rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_row_3, r"vote\.csv, line 9: primary key 8 is not in 0\.\.7; key 3 is missing"),
+        (_repeat_key_2, r"vote\.csv, line 7: duplicate primary key 2, first on line 4"),
+        (_set_field(5, 3, "v7"), r"vote\.csv, line 6: unknown label 'v7' for attribute rating"),
+        (_set_field(8, 1, "x"), r"vote\.csv, line 9: foreign key movie 'x' is not an integer"),
+        (_set_field(4, 2, "3"), r"vote\.csv, line 5: foreign key user 3 is not in 0\.\.2"),
+        (_set_field(2, 0, "1.0"), r"vote\.csv, line 3: primary key voteid '1\.0' is not an integer"),
+        (_drop_last_field, r"vote\.csv, line 4: 3 fields, expected 4"),
+    ],
+    ids=["missing-key", "duplicate-key", "unknown-label", "non-integer-fk",
+         "dangling-fk", "non-integer-pk", "field-count"],
+)
+def test_csv_reader_rejects_input_emit_csv_cannot_write(
+    tmp_path, movie_schema, movie_skeleton, edit, message
+):
+    _, path = _movie_csv(tmp_path, movie_schema, movie_skeleton)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=message):
+        read_csv_dataset(movie_schema, tmp_path)

@@ -28,7 +28,12 @@ from prmbench.schema import GenerationPolicy, generate_schema
 from prmbench.skeleton import CrpConfig, ObjectRef, generate_skeleton, validate_skeleton
 
 from conftest import MOVIE, USER, VOTE, build_movie_prm, links_as_plain_table
-from helpers import oracle_forward_sample, oracle_is_acyclic, oracle_resolve_chain
+from helpers import (
+    oracle_forward_sample,
+    oracle_is_acyclic,
+    oracle_resolve_chain,
+    skeleton_from_links,
+)
 
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
@@ -164,7 +169,6 @@ def test_simplification_changes_semantics_on_shared_sink_schemas():
     # on needs every class to carry at most one incoming slot.
     from prmbench.dag import Dag
     from prmbench.schema import AttributeDef, ClassDef, ReferenceSlot, RelationalSchema
-    from prmbench.skeleton import RelationalSkeleton
 
     sigma = ReferenceSlot("sigma", owner_class=0, referenced_class=2)
     rho = ReferenceSlot("rho", owner_class=1, referenced_class=2)
@@ -180,7 +184,7 @@ def test_simplification_changes_semantics_on_shared_sink_schemas():
         (ObjectRef(0, 0), sigma): ObjectRef(2, 0),
         (ObjectRef(1, 0), rho): ObjectRef(2, 1),
     }
-    sk = RelationalSkeleton((1, 1, 2), links)
+    sk = skeleton_from_links((1, 1, 2), links)
     assert validate_skeleton(sk, schema).is_valid
 
     chain = SlotChain(0, (Slot(sigma), Slot(rho, True), Slot(rho)))
@@ -250,7 +254,6 @@ def test_ground_two_classes_one_attribute_each_five_objects():
     from prmbench.dag import Dag
     from prmbench.deps import DependencyStructure
     from prmbench.schema import AttributeDef, ClassDef, ReferenceSlot, RelationalSchema
-    from prmbench.skeleton import RelationalSkeleton
 
     slot = ReferenceSlot("bref", 0, 1)
     schema = RelationalSchema(
@@ -267,7 +270,7 @@ def test_ground_two_classes_one_attribute_each_five_objects():
         (ObjectRef(0, 1), slot): ObjectRef(1, 1),
         (ObjectRef(0, 2), slot): ObjectRef(1, 0),
     }
-    sk = RelationalSkeleton((3, 2), links)
+    sk = skeleton_from_links((3, 2), links)
     assert len(ground(prm, sk).nodes) == 5
 
 

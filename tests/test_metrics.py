@@ -25,6 +25,7 @@ from prmbench.schema import GenerationPolicy, generate_schema
 from prmbench.skeleton import CrpConfig, generate_skeleton
 
 from conftest import MOVIE, USER, VOTE, build_movie_prm
+from helpers import skeleton_from_links
 
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
@@ -118,7 +119,7 @@ def test_counts_and_report_match_per_object_oracles():
 
 
 def test_counts_reject_skeleton_that_disagrees_with_dataset(movie_schema, movie_skeleton):
-    from prmbench.skeleton import ObjectRef, RelationalSkeleton
+    from prmbench.skeleton import ObjectRef
 
     prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
     ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
@@ -126,11 +127,11 @@ def test_counts_reject_skeleton_that_disagrees_with_dataset(movie_schema, movie_
     links = dict(movie_skeleton.links)
     key = (ObjectRef(VOTE, 3), movie_slot)
     links[key] = ObjectRef(MOVIE, (links[key].object_id + 1) % 5)
-    moved = RelationalSkeleton(movie_skeleton.object_counts, links)
+    moved = skeleton_from_links(movie_skeleton.object_counts, links)
     with pytest.raises(ValueError, match="disagree on movie of object 3"):
         count_contingencies(ds, moved, prm.structure)
 
-    resized = RelationalSkeleton((5, 4, 9), movie_skeleton.links)
+    resized = skeleton_from_links((5, 4, 9), movie_skeleton.links)
     with pytest.raises(ValueError, match="object counts"):
         count_contingencies(ds, resized, prm.structure)
 
@@ -142,7 +143,7 @@ def test_out_of_range_foreign_key_is_rejected(movie_schema, movie_skeleton, bad_
     import dataclasses
 
     from prmbench.gbn import skeleton_from_dataset
-    from prmbench.skeleton import ObjectRef, RelationalSkeleton
+    from prmbench.skeleton import ObjectRef
 
     prm = build_movie_prm(movie_schema, {i: (0.2, 0.3, 0.5) for i in range(3)})
     ds = forward_sample(ground(prm, movie_skeleton), np.random.default_rng(0))
@@ -166,7 +167,7 @@ def test_out_of_range_foreign_key_is_rejected(movie_schema, movie_skeleton, bad_
     links = dict(movie_skeleton.links)
     links[(ObjectRef(VOTE, 3), movie_slot)] = ObjectRef(MOVIE, bad_id)
     with pytest.raises(ValueError, match=message):
-        ground(prm, RelationalSkeleton(movie_skeleton.object_counts, links))
+        ground(prm, skeleton_from_links(movie_skeleton.object_counts, links))
 
 
 def test_counts_schema_mismatch_rejected(movie_schema, movie_skeleton):

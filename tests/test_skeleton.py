@@ -15,6 +15,8 @@ from prmbench.skeleton import (
     validate_skeleton,
 )
 
+from helpers import oracle_generate_skeleton, skeleton_from_links
+
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
 
@@ -182,17 +184,100 @@ def test_validate_reports_unassigned_slot(movie_schema, movie_skeleton):
     broken_links = dict(movie_skeleton.links)
     removed = next(iter(broken_links))
     del broken_links[removed]
-    broken = RelationalSkeleton(movie_skeleton.object_counts, broken_links)
+    broken = skeleton_from_links(movie_skeleton.object_counts, broken_links)
     report = validate_skeleton(broken, movie_schema)
     assert any("totality" in f for f in report.findings)
 
 
-def test_validate_reports_reversed_orientation(movie_schema, movie_slots):
+def test_validate_reports_reversed_orientation(movie_slots):
+    # A column is indexed by owner id and holds ids of the referenced class,
+    # so a link recorded against the slot's direction cannot be stored at
+    # all; building such a skeleton is what fails.
     movie_slot, _ = movie_slots
     links = {(ObjectRef(0, 0), movie_slot): ObjectRef(2, 0)}
-    broken = RelationalSkeleton((1, 0, 1), links)
-    report = validate_skeleton(broken, movie_schema)
-    assert any("orientation" in f for f in report.findings)
+    with pytest.raises(ValueError, match="orientation"):
+        skeleton_from_links((1, 0, 1), links)
+
+
+def test_generation_matches_recursive_link_dict_oracle():
+    # The explicit-stack generator must make the recursive generator's RNG
+    # calls in the same order: same columns, counts, passes and final state.
+    rng = np.random.default_rng(2024)
+    cut_mid_pass = 0
+    for case in range(120):
+        n = 1 + case % 8
+        alpha = (0.01, 1.0, 1e6)[case % 3]
+        schema = generate_schema(n, FAST, rng)
+        # Passes are the same under any budget until the budget is reached,
+        # so a budget inside a multi-object pass of a probe run cuts that
+        # pass short.
+        probe = generate_skeleton(
+            schema, CrpConfig(alpha=alpha, n_total=400), np.random.default_rng(case)
+        )
+        starts = np.cumsum((0,) + probe.iteration_counts)
+        cuttable = [i for i, size in enumerate(probe.iteration_counts) if size > 1]
+        n_total = int(rng.integers(1, 400))
+        if cuttable:
+            k = cuttable[int(rng.integers(len(cuttable)))]
+            n_total = int(starts[k] + rng.integers(1, probe.iteration_counts[k]))
+            cut_mid_pass += 1
+        cfg = CrpConfig(alpha=alpha, n_total=n_total)
+        ours, theirs = np.random.default_rng(case), np.random.default_rng(case)
+        sk = generate_skeleton(schema, cfg, ours)
+        oracle = oracle_generate_skeleton(schema, cfg, theirs)
+        assert sk.object_counts == oracle.object_counts, case
+        assert sk.iteration_counts == oracle.iteration_counts, case
+        for slot in oracle.columns:
+            assert np.array_equal(sk.fk_column(slot), oracle.fk_column(slot)), case
+        assert sk == oracle, case
+        assert ours.bit_generator.state == theirs.bit_generator.state, case
+    assert cut_mid_pass >= 80
+
+
+def test_links_view_reads_the_columns(movie_skeleton, movie_slots):
+    movie_slot, user_slot = movie_slots
+    links = movie_skeleton.links
+    assert len(links) == 18
+    assert links[(ObjectRef(2, 1), movie_slot)] == ObjectRef(0, 1)
+    assert links[(ObjectRef(2, 1), user_slot)] == ObjectRef(1, 0)
+    for key in [(ObjectRef(2, 9), movie_slot), (ObjectRef(0, 0), movie_slot)]:
+        assert key not in links
+    assert dict(links) == {key: links[key] for key in links}
+    assert movie_skeleton.referrers(movie_slot, 2) == (2, 6)
+    assert movie_skeleton.referrers(movie_slot, 7) == ()
+
+
+def test_validate_reports_object_cycles_like_the_oracle():
+    # Two classes referencing each other (an invalid schema) let random
+    # columns close directed cycles through the objects.
+    from prmbench.dag import Dag
+    from prmbench.schema import AttributeDef, ClassDef, ReferenceSlot, RelationalSchema
+
+    from helpers import oracle_is_acyclic
+
+    ab, ba = ReferenceSlot("ab", 0, 1), ReferenceSlot("ba", 1, 0)
+    attrs = (AttributeDef("att0", ("v0", "v1")),)
+    schema = RelationalSchema(
+        (ClassDef("a", "aid", attrs, (ab,)), ClassDef("b", "bid", attrs, (ba,))),
+        Dag(2, frozenset({(0, 1), (1, 0)})),
+    )
+    rng = np.random.default_rng(31)
+    cyclic = 0
+    for _ in range(300):
+        n_a, n_b = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        # Missing links (-1) leave some graphs acyclic.
+        to_b = np.where(rng.random(n_a) < 0.4, -1, rng.integers(0, n_b, n_a))
+        to_a = np.where(rng.random(n_b) < 0.4, -1, rng.integers(0, n_a, n_b))
+        sk = RelationalSkeleton((n_a, n_b), {ab: to_b, ba: to_a})
+        edges = [(i, n_a + t) for i, t in enumerate(to_b.tolist()) if t >= 0]
+        edges += [(n_a + i, t) for i, t in enumerate(to_a.tolist()) if t >= 0]
+        findings = validate_skeleton(sk, schema).findings
+        expected = not oracle_is_acyclic(n_a + n_b, edges)
+        assert any("acyclicity" in f for f in findings) == expected
+        missing = int((to_b == -1).sum() + (to_a == -1).sum())
+        assert sum("totality" in f for f in findings) == missing
+        cyclic += expected
+    assert 50 <= cyclic <= 250
 
 
 def test_config_validation():
