@@ -156,9 +156,8 @@ def run_cli(argv=None) -> int:
         model_path.write_text(serialize_prm(prm), encoding="utf-8")
 
         if "sql" in config.formats:
-            (out_dir / "data.sql").write_text(
-                emit_sql(prm.schema, dataset), encoding="utf-8"
-            )
+            with open(out_dir / "data.sql", "w", encoding="utf-8") as fh:
+                emit_sql(prm.schema, dataset, fh)
         if "csv" in config.formats:
             emit_csv(prm.schema, dataset, out_dir)
 

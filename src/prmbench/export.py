@@ -219,6 +219,8 @@ def parse_prm(text: str) -> Prm:
     # Schema section: two passes so slots can reference later classes.
     expect_children(schema_el, {"class"})
     raw_classes = list(schema_el)
+    if not raw_classes:
+        err(schema_el, "<schema> requires at least one <class>")
     class_index = {}
     for i, el in enumerate(raw_classes):
         name = el.get("name")
@@ -244,6 +246,8 @@ def parse_prm(text: str) -> Prm:
                 target = sub.get("target")
                 if target not in class_index:
                     err(sub, f"referenceSlot targets unknown class {target!r}")
+                if class_index[target] == i:
+                    err(sub, f"referenceSlot of class {target!r} targets its own class")
                 slots.append(
                     ReferenceSlot(sub.get("name") or "", i, class_index[target])
                 )
@@ -297,6 +301,8 @@ def parse_prm(text: str) -> Prm:
     for el in deps_el:
         child = resolve_attr(el, el.get("child") or "")
         parent = resolve_attr(el, el.get("parent") or "")
+        if parent == child:
+            err(el, f"attribute {el.get('child')!r} depends on itself")
         chain_text = el.get("chain")
         if chain_text is None:
             err(el, "dependency requires a chain attribute")
@@ -391,8 +397,17 @@ def _quote(label: str) -> str:
     return "'" + label.replace("'", "''") + "'"
 
 
-def emit_sql(schema: RelationalSchema, dataset: Dataset) -> str:
-    out: list[str] = []
+# Rows per block of INSERT lines: each block converts only its own slice of
+# the columns to Python values, so memory does not grow with the row count.
+_SQL_BLOCK_ROWS = 4096
+
+
+def emit_sql(schema: RelationalSchema, dataset: Dataset, fh) -> None:
+    """Write the SQL script for ``dataset`` to the text handle ``fh``.
+
+    The DDL comes first, referenced tables before their referrers, then one
+    INSERT line per row, table by table in the same order.
+    """
     order = _table_order(schema)
     for ci in order:
         cls = schema.classes[ci]
@@ -404,20 +419,25 @@ def emit_sql(schema: RelationalSchema, dataset: Dataset) -> str:
             )
         for attr in cls.attributes:
             cols.append(f"  {attr.name} VARCHAR(32)")
-        out.append(f"CREATE TABLE {cls.name} (\n" + ",\n".join(cols) + "\n);")
+        fh.write(f"CREATE TABLE {cls.name} (\n" + ",\n".join(cols) + "\n);\n")
     for ci in order:
         cls = schema.classes[ci]
         table = dataset.tables[ci]
         head = f"INSERT INTO {cls.name} ({', '.join(_column_names(cls))}) VALUES "
-        columns = [map(str, range(table.row_count))]
-        columns += [
-            map(str, table.fk_values[slot.name].tolist()) for slot in cls.reference_slots
+        fks = [table.fk_values[slot.name] for slot in cls.reference_slots]
+        attrs = [
+            ([_quote(label) for label in attr.domain], table.attr_values[ai])
+            for ai, attr in enumerate(cls.attributes)
         ]
-        for ai, attr in enumerate(cls.attributes):
-            labels = [_quote(label) for label in attr.domain]
-            columns.append(map(labels.__getitem__, table.attr_values[ai].tolist()))
-        out.extend(f"{head}({', '.join(values)});" for values in zip(*columns))
-    return "\n".join(out) + "\n"
+        for lo in range(0, table.row_count, _SQL_BLOCK_ROWS):
+            hi = lo + _SQL_BLOCK_ROWS
+            columns = [map(str, range(lo, min(hi, table.row_count)))]
+            columns += [map(str, fk[lo:hi].tolist()) for fk in fks]
+            columns += [
+                map(labels.__getitem__, values[lo:hi].tolist())
+                for labels, values in attrs
+            ]
+            fh.writelines(f"{head}({', '.join(row)});\n" for row in zip(*columns))
 
 
 # --- CSV ---------------------------------------------------------------------

@@ -25,6 +25,8 @@ from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
+from operator import length_hint
 
 import numpy as np
 
@@ -42,6 +44,12 @@ __all__ = [
     "int32_column",
     "validate_skeleton",
 ]
+
+# Raw words are fetched in blocks that double from the first size to the
+# last, so that a small skeleton fetches little more than it uses.
+_FIRST_BLOCK = 512
+_LAST_BLOCK = 65_536
+_DOUBLE_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -255,11 +263,102 @@ def crp_choose(
     return candidates[-1][0]
 
 
+def _replay_stream(bit_generator):
+    """``Generator.random()`` and ``Generator.integers(n)`` replayed from raw words.
+
+    Returns ``(random, integers, rewind)``. ``random()`` and ``integers(n)``
+    return what the same calls on a ``Generator`` over ``bit_generator``
+    would, in the same order, but read 64-bit words fetched in blocks with
+    ``random_raw`` instead of making one scalar call each:
+
+    * ``random()`` is NumPy's 53-bit double, ``(word >> 11) * 2**-53``;
+    * ``integers(n)``, for 1 <= n <= 2**32, is NumPy's 32-bit Lemire draw
+      (Lemire, "Fast Random Integer Generation in an Interval", 2019): it
+      takes the next 32 bits (the high half buffered from the previous word
+      if there is one, else the low half of a new word, whose high half is
+      then buffered), multiplies by ``n`` and rejects while the low 32 bits
+      of the product are below ``(2**32 - n) % n``. ``n == 1`` draws
+      nothing.
+
+    ``rewind()`` leaves ``bit_generator`` exactly where the scalar calls
+    would have: it restores the state saved here, advances it by the words
+    used and writes back the 32-bit buffer.
+
+    These are the algorithms of PCG64, PCG64DXSM, SFC64 and Philox. A bit
+    generator whose state has no 32-bit buffer (MT19937, whose doubles take
+    two 32-bit draws) raises TypeError before any draw.
+    """
+    saved = bit_generator.state
+    if "has_uint32" not in saved:
+        raise TypeError(
+            f"cannot replay {saved['bit_generator']}: its state has no 32-bit buffer"
+        )
+    has_uint32, uinteger = bool(saved["has_uint32"]), saved["uinteger"]
+    fetched = 0
+    block = iter(())
+
+    def blocks():
+        nonlocal fetched, block
+        size = _FIRST_BLOCK
+        while True:
+            block = iter(bit_generator.random_raw(size).tolist())
+            fetched += size
+            yield block
+            size = min(2 * size, _LAST_BLOCK)
+
+    next_word = chain.from_iterable(blocks()).__next__
+
+    def random() -> float:
+        return (next_word() >> 11) * _DOUBLE_UNIT
+
+    def integers(n: int) -> int:
+        nonlocal has_uint32, uinteger
+        if n == 1:
+            return 0
+        threshold = None
+        while True:
+            if has_uint32:
+                has_uint32 = False
+                m = uinteger * n
+            else:
+                word = next_word()
+                has_uint32, uinteger = True, word >> 32
+                m = (word & 0xFFFFFFFF) * n
+            low = m & 0xFFFFFFFF
+            if low >= n:  # n bounds the threshold, so no rejection
+                return m >> 32
+            if threshold is None:
+                threshold = (0x100000000 - n) % n
+            if low >= threshold:
+                return m >> 32
+
+    def rewind() -> None:
+        used = fetched - length_hint(block)
+        bit_generator.state = saved
+        bit_generator.random_raw(used, output=False)
+        state = bit_generator.state
+        state["has_uint32"], state["uinteger"] = int(has_uint32), uinteger
+        bit_generator.state = state
+
+    return random, integers, rewind
+
+
 def generate_skeleton(
     schema: RelationalSchema,
     cfg: CrpConfig | None = None,
     rng: np.random.Generator | None = None,
 ) -> RelationalSkeleton:
+    """Grow a skeleton of about ``cfg.n_total`` objects; see the module docstring.
+
+    Reads only ``rng.bit_generator``: every draw is a ``rng.random()`` or
+    ``rng.integers(n)`` replayed from raw words by :func:`_replay_stream`,
+    and ``rng`` ends in the state those scalar calls would have left. The
+    bytes this writes therefore depend on NumPy's algorithms for those two
+    calls; ``tests/test_skeleton.py`` compares the result with the scalar
+    oracle generator, so that a NumPy release that changes them fails there
+    instead of changing the output unnoticed. Raises TypeError for a bit
+    generator the replay does not cover (MT19937).
+    """
     cfg = cfg or CrpConfig()
     rng = rng if rng is not None else np.random.default_rng()
     n_classes = len(schema.classes)
@@ -283,13 +382,13 @@ def generate_skeleton(
         for c in schema.classes
     ]
     alpha, n_total = cfg.alpha, cfg.n_total
-    random, integers = rng.random, rng.integers
+    random, integers, rewind = _replay_stream(rng.bit_generator)
     total = 0
     iteration_counts: list[int] = []
 
     while total < n_total:
         before = total
-        root = roots[int(integers(len(roots)))] if len(roots) > 1 else roots[0]
+        root = roots[integers(len(roots))] if len(roots) > 1 else roots[0]
         counts[root] += 1
         total += 1
         # Depth first, on an explicit stack of (class, next slot index): a
@@ -316,7 +415,7 @@ def generate_skeleton(
                     counts[ci] += 1
                     total += 1
                 else:
-                    target_id = pool[int(integers(len(pool)))]
+                    target_id = pool[integers(len(pool))]
                 append(target_id)
                 pool.append(target_id)
                 if make_new and slots_of[ci]:
@@ -324,6 +423,7 @@ def generate_skeleton(
                     stack.append((ci, 0))
                     break
         iteration_counts.append(total - before)
+    rewind()
 
     return RelationalSkeleton(
         object_counts=tuple(counts),

@@ -210,6 +210,34 @@ def test_pipeline_never_reads_the_links_view(tmp_path, monkeypatch):
     assert calls[0] == 1  # the patch counts reads
 
 
+class _BitGeneratorOnly:
+    """A random stream that offers its bit generator and nothing else."""
+
+    __slots__ = ("bit_generator",)
+
+    def __init__(self, rng):
+        self.bit_generator = rng.bit_generator
+
+
+def test_skeleton_makes_no_scalar_rng_call(tmp_path, monkeypatch):
+    # Deterministic gate: the skeleton replays its draws from raw words, so
+    # it needs only the bit generator. A scalar rng.random() or
+    # rng.integers() call, about 0.4 and 1.2 us each, raises AttributeError.
+    generate_skeleton = prmbench.cli.generate_skeleton
+    calls = [0]
+
+    def proxied(schema, cfg, rng):
+        calls[0] += 1
+        return generate_skeleton(schema, cfg, _BitGeneratorOnly(rng))
+
+    args = ["--classes", "4", "--objects", "2500", "--seed", "7"]
+    assert run_cli(args + ["--out", str(tmp_path / "plain")]) == 0
+    monkeypatch.setattr(prmbench.cli, "generate_skeleton", proxied)
+    assert run_cli(args + ["--out", str(tmp_path / "proxied")]) == 0
+    assert calls[0] == 1
+    assert _digest(tmp_path / "proxied") == _digest(tmp_path / "plain")
+
+
 def test_twelve_classes_complete(tmp_path):
     # Enumerating chains at horizon 11 needed more than 1.5 GB here.
     args = ["--classes", "12", "--objects", "200", "--seed", "0"]

@@ -1,7 +1,14 @@
+import copy
+import io
+import re
 import sqlite3
+import tracemalloc
+import xml.etree.ElementTree as ET
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from prmbench.dag import DagPolicy
 from prmbench.deps import (
@@ -160,6 +167,38 @@ def test_parse_rejects_cyclic_dependency_structure(movie_schema):
         parse_prm(text)
 
 
+@pytest.mark.parametrize(
+    "schema, dependency, message",
+    [
+        ("", "", "at least one <class>"),
+        (
+            '<class name="a" pk="aid"><attribute name="att0" states="v0,v1" />'
+            '<referenceSlot name="aref" target="a" /></class>',
+            "",
+            "its own class",
+        ),
+        (
+            '<class name="a" pk="aid"><attribute name="att0" states="v0,v1" />'
+            '<referenceSlot name="bref" target="b" /></class>'
+            '<class name="b" pk="bid"><attribute name="att0" states="v0,v1" /></class>',
+            '<dependency child="a.att0" parent="a.att0" chain="bref/~bref"'
+            ' aggregator="MODE" />',
+            "depends on itself",
+        ),
+    ],
+)
+def test_parse_rejects_graphs_without_nodes_or_with_self_loops(
+    schema, dependency, message
+):
+    # Each used to escape as a bare ValueError from the graph constructor.
+    text = (
+        f'<prm version="1" kmax="2"><schema>{schema}</schema>'
+        f"<dependencies>{dependency}</dependencies><cpds /></prm>"
+    )
+    with pytest.raises(ModelFormatError, match=rf"line 1: .*{message}"):
+        parse_prm(text)
+
+
 def test_parse_rejects_disconnected_schema():
     prm, _, _ = _pipeline(4, n=2)
     text = serialize_prm(prm)
@@ -170,13 +209,77 @@ def test_parse_rejects_disconnected_schema():
         parse_prm(cut)
 
 
+_FUZZ_DOCS = [
+    serialize_prm(_pipeline(seed, n=n)[0]) for seed, n in ((1, 1), (2, 3), (3, 4))
+]
+_FUZZ_ELEMENTS = [el for text in _FUZZ_DOCS for el in ET.fromstring(text).iter()]
+# Tags and attribute names of the dialect.
+_FUZZ_NAMES = sorted(
+    {el.tag for el in _FUZZ_ELEMENTS}.union(*(el.attrib for el in _FUZZ_ELEMENTS))
+)
+# Values that mean something to the parser: every attribute value of the
+# documents and its pieces, plus a few numbers and separators.
+_FUZZ_VALUES = sorted(
+    {"", "0", "-1", "2", "1e309", "nan", "-0.0", "~", "/", ",", ".", "MODE"}.union(
+        *([v, *re.split(r"[/,.~]", v)] for el in _FUZZ_ELEMENTS for v in el.attrib.values())
+    )
+)
+# XML 1.0 cannot carry control characters; the byte mutations cover them.
+_PRINTABLE = st.characters(blacklist_categories=("Cc", "Cs"))
+
+
+def _mutate_tree(data, root):
+    """Change one attribute, text, tag or element position of ``root``."""
+    parent = {child: el for el in root.iter() for child in el}
+    el = data.draw(st.sampled_from(list(root.iter())))
+    ops = ["set", "drop", "text", "tag", "remove", "copy", "move"]
+    op = data.draw(st.sampled_from(ops))
+    value = data.draw(st.sampled_from(_FUZZ_VALUES) | st.text(_PRINTABLE, max_size=6))
+    if op == "set":
+        el.set(data.draw(st.sampled_from(_FUZZ_NAMES)), value)
+    elif op == "drop" and el.attrib:
+        del el.attrib[data.draw(st.sampled_from(sorted(el.attrib)))]
+    elif op == "text":
+        el.text = value
+    elif op == "tag":
+        el.tag = data.draw(st.sampled_from(_FUZZ_NAMES))
+    elif el in parent:
+        if op != "copy":
+            parent[el].remove(el)
+        if op != "remove":
+            target = data.draw(st.sampled_from(list(root.iter())))
+            target.insert(data.draw(st.integers(0, len(target))), copy.deepcopy(el))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_parse_mutated_documents_round_trip_or_raise_model_format_error(data):
+    # Mutated attributes, elements and bytes of valid documents either
+    # parse to a model that round-trips exactly or raise ModelFormatError.
+    root = ET.fromstring(data.draw(st.sampled_from(_FUZZ_DOCS)))
+    for _ in range(data.draw(st.integers(0, 3))):
+        _mutate_tree(data, root)
+    raw = bytearray(ET.tostring(root, encoding="utf-8"))
+    for _ in range(data.draw(st.sampled_from((0, 0, 0, 1, 2)))):
+        at = data.draw(st.integers(0, len(raw) - 1))
+        raw[at : at + data.draw(st.integers(0, 2))] = data.draw(st.binary(max_size=2))
+    text = raw.decode("utf-8", errors="replace")
+    try:
+        prm = parse_prm(text)
+    except ModelFormatError:
+        return
+    assert parse_prm(serialize_prm(prm)) == prm
+
+
 # --- SQL -----------------------------------------------------------------------
 
 
 def test_sql_targets_precede_referrers_and_reference_primary_keys():
     for seed in range(20):
         prm, _, ds = _pipeline(seed, n=4, n_total=30)
-        script = emit_sql(prm.schema, ds)
+        sql = io.StringIO()
+        emit_sql(prm.schema, ds, sql)
+        script = sql.getvalue()
         created = []
         for line in script.splitlines():
             if line.startswith("CREATE TABLE "):
@@ -202,14 +305,18 @@ def test_sql_empty_dataset_is_ddl_only(movie_schema):
             for ci, cls in enumerate(movie_schema.classes)
         ),
     )
-    script = emit_sql(movie_schema, empty)
+    sql = io.StringIO()
+    emit_sql(movie_schema, empty, sql)
+    script = sql.getvalue()
     assert script.count("CREATE TABLE") == 3
     assert "INSERT" not in script
 
 
 def test_sql_loads_into_sqlite_with_foreign_keys_enforced():
     prm, _, ds = _pipeline(5, n=4, n_total=60)
-    script = emit_sql(prm.schema, ds)
+    sql = io.StringIO()
+    emit_sql(prm.schema, ds, sql)
+    script = sql.getvalue()
     con = sqlite3.connect(":memory:")
     con.execute("PRAGMA foreign_keys = ON;")
     con.executescript(script)
@@ -219,6 +326,38 @@ def test_sql_loads_into_sqlite_with_foreign_keys_enforced():
     violations = con.execute("PRAGMA foreign_key_check;").fetchall()
     assert violations == []
     con.close()
+
+
+class _CountingSink:
+    """A text handle that counts the UTF-8 bytes written and keeps none."""
+
+    def __init__(self):
+        self.bytes = 0
+
+    def write(self, text):
+        self.bytes += len(text.encode("utf-8"))
+
+    def writelines(self, lines):
+        for line in lines:
+            self.write(line)
+
+
+def test_sql_export_memory_does_not_grow_with_rows():
+    # Deterministic gate: the script is written in row blocks, so the peak
+    # of what emit_sql allocates is far below the script's size. Holding
+    # the script as one string cost 3.8 times its size.
+    from prmbench.cli import RunConfig, run_pipeline
+
+    prm, _, ds = run_pipeline(RunConfig(classes=4, objects=80_000, seed=2))
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        emit_sql(prm.schema, ds, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.bytes > 5_000_000
+    assert peak < sink.bytes / 8, (peak, sink.bytes)
 
 
 # --- CSV -----------------------------------------------------------------------

@@ -10,6 +10,7 @@ from prmbench.skeleton import (
     CrpConfig,
     ObjectRef,
     RelationalSkeleton,
+    _replay_stream,
     crp_choose,
     generate_skeleton,
     validate_skeleton,
@@ -232,6 +233,71 @@ def test_generation_matches_recursive_link_dict_oracle():
         assert sk == oracle, case
         assert ours.bit_generator.state == theirs.bit_generator.state, case
     assert cut_mid_pass >= 80
+
+
+def _plain(state):
+    # Philox keeps arrays in its state, which dict equality cannot compare.
+    if isinstance(state, dict):
+        return {key: _plain(value) for key, value in state.items()}
+    if isinstance(state, np.ndarray):
+        return state.tolist()
+    return state
+
+
+REPLAYED = (np.random.PCG64, np.random.PCG64DXSM, np.random.SFC64, np.random.Philox)
+
+
+@pytest.mark.parametrize("bit_generator", REPLAYED, ids=lambda b: b.__name__)
+@pytest.mark.parametrize("buffered", [0, 1])
+def test_replay_matches_scalar_generator_calls(bit_generator, buffered):
+    # n up to 2**32 - 1, including 2**31 + 1 and 3 * 2**30, where Lemire's
+    # draw rejects about half of the time; runs long enough to cross blocks.
+    bounds = (1, 2, 3, 7, 10**5, 2**31 - 1, 2**31 + 1, 3 * 2**30, 2**32 - 1)
+    meta = np.random.default_rng(buffered)
+    for trial in range(40):
+        seed = int(meta.integers(2**32))
+        scalar = np.random.Generator(bit_generator(seed))
+        replayed = np.random.Generator(bit_generator(seed))
+        if buffered:  # leave the high half of a word in the 32-bit buffer
+            scalar.integers(5)
+            replayed.integers(5)
+        assert scalar.bit_generator.state["has_uint32"] == buffered
+        random, integers, rewind = _replay_stream(replayed.bit_generator)
+        for _ in range(int(meta.integers(0, 2500))):
+            if meta.random() < 0.5:
+                assert random() == scalar.random()
+            else:
+                n = bounds[int(meta.integers(len(bounds)))]
+                assert integers(n) == scalar.integers(n), n
+        rewind()
+        assert _plain(replayed.bit_generator.state) == _plain(
+            scalar.bit_generator.state
+        ), trial
+
+
+@pytest.mark.parametrize("bit_generator", REPLAYED[1:], ids=lambda b: b.__name__)
+def test_generation_matches_oracle_on_other_bit_generators(bit_generator):
+    # PCG64 is covered above; budgets up to 3000 objects cross word blocks.
+    rng = np.random.default_rng(7)
+    for case in range(30):
+        schema = generate_schema(1 + case % 6, FAST, rng)
+        alpha = (0.01, 1.0, 1e6)[case % 3]
+        cfg = CrpConfig(alpha=alpha, n_total=int(rng.integers(1, 3000)))
+        ours = np.random.Generator(bit_generator(case))
+        theirs = np.random.Generator(bit_generator(case))
+        assert generate_skeleton(schema, cfg, ours) == oracle_generate_skeleton(
+            schema, cfg, theirs
+        ), case
+        assert _plain(ours.bit_generator.state) == _plain(theirs.bit_generator.state)
+
+
+def test_generation_rejects_mt19937_before_any_draw():
+    schema = _two_class_schema()
+    rng = np.random.Generator(np.random.MT19937(3))
+    before = _plain(rng.bit_generator.state)
+    with pytest.raises(TypeError, match="MT19937"):
+        generate_skeleton(schema, CrpConfig(n_total=50), rng)
+    assert _plain(rng.bit_generator.state) == before
 
 
 def test_links_view_reads_the_columns(movie_skeleton, movie_slots):
