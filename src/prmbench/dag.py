@@ -71,12 +71,6 @@ class Dag:
         """Edges in ascending (u, v) order, for deterministic iteration."""
         return tuple(sorted(self.edges))
 
-    def children_of(self, u: int) -> tuple[int, ...]:
-        return tuple(sorted(v for (a, v) in self.edges if a == u))
-
-    def parents_of(self, v: int) -> tuple[int, ...]:
-        return tuple(sorted(u for (u, b) in self.edges if b == v))
-
     def reversed(self) -> "Dag":
         return Dag(self.node_count, frozenset((v, u) for (u, v) in self.edges))
 
@@ -93,7 +87,6 @@ class DagPolicy:
     mixing_steps: int | None = None
     max_parents: int | None = None
     max_rejections: int = 1_000_000
-    check_moves: bool = False
 
     def __post_init__(self):
         if self.mixing_steps is not None and self.mixing_steps < 1:
@@ -234,9 +227,7 @@ def generate_random_dag(
         kind, pair = divmod(c, n_pairs)
         u, r = divmod(pair, n - 1)
         v = r + (r >= u)
-        applied = _apply_move(children, parent_count, kind, u, v, policy.max_parents)
-        if applied and policy.check_moves and not _masks_acyclic(children):
-            raise CyclicGraphError("chain move broke acyclicity")
+        _apply_move(children, parent_count, kind, u, v, policy.max_parents)
     return Dag(n, _edges_from_masks(children))
 
 

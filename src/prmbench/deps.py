@@ -22,10 +22,11 @@ reference enumerator.
 
 from __future__ import annotations
 
-import itertools
 import logging
+import math
 from collections import Counter
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -49,6 +50,7 @@ __all__ = [
     "enumerate_slot_chains",
     "generate_cpds",
     "generate_dependency_structure",
+    "parent_sizes",
     "simplify_slot_chain",
     "slot_chain_weights",
 ]
@@ -172,13 +174,55 @@ def canonical_parent_order(deps) -> tuple[Dependency, ...]:
     return tuple(sorted(deps, key=key))
 
 
-@dataclass(frozen=True)
+def parent_sizes(schema: RelationalSchema, parents) -> tuple[int, ...]:
+    """Domain size of each parent attribute, in the given parent order."""
+    return tuple(
+        len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
+        for d in parents
+    )
+
+
+@dataclass(frozen=True, eq=False)
 class Cpd:
-    """Categorical CPD table: parent state configuration -> child distribution."""
+    """Categorical CPD: one child distribution per parent configuration.
+
+    ``rows`` is a read-only float64 array of shape ``(*parent domain sizes,
+    child states)``, parents in ``parent_order``. ``rows.reshape(-1, states)``
+    lists the configurations in row-major order, as the model document and
+    :func:`~prmbench.gbn.parent_configurations` do. A complete ``{config:
+    row}`` dict given for ``rows`` is converted.
+    """
 
     child: AttributeNode
     parent_order: tuple[Dependency, ...]
-    table: dict[tuple[int, ...], tuple[float, ...]]
+    rows: np.ndarray
+
+    def __post_init__(self):
+        rows = _dense_rows(self.rows) if isinstance(self.rows, dict) else self.rows
+        rows = np.asarray(rows, dtype=np.float64).view()
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
+
+    @property
+    def table(self) -> dict[tuple[int, ...], tuple[float, ...]]:
+        """The rows as ``{config: distribution}``, in row-major order."""
+        rows = self.rows.reshape(-1, self.rows.shape[-1]).tolist()
+        return dict(zip(np.ndindex(*self.rows.shape[:-1]), map(tuple, rows)))
+
+    def __eq__(self, other):
+        if not isinstance(other, Cpd):
+            return NotImplemented
+        same = (self.child, self.parent_order) == (other.child, other.parent_order)
+        return same and np.array_equal(self.rows, other.rows)
+
+
+def _dense_rows(table: dict) -> np.ndarray:
+    """A complete ``{config: row}`` table as an array over its configurations."""
+    sizes = tuple(max(axis) + 1 for axis in zip(*table))
+    configs = list(np.ndindex(*sizes))
+    if sorted(table) != configs:
+        raise ValueError(f"CPD table does not hold one row per configuration of {sizes}")
+    return np.array([table[c] for c in configs], dtype=np.float64).reshape(*sizes, -1)
 
 
 @dataclass(frozen=True)
@@ -189,30 +233,31 @@ class Prm:
     k_max: int
 
     def __post_init__(self):
+        schema = self.schema
         expected = [
             AttributeNode(ci, ai)
-            for ci, cls in enumerate(self.schema.classes)
+            for ci, cls in enumerate(schema.classes)
             for ai in range(len(cls.attributes))
         ]
         got = [c.child for c in self.cpds]
         if got != expected:
             raise ValueError("exactly one CPD per descriptive attribute required")
+        if self.structure.attr_counts != tuple(len(c.attributes) for c in schema.classes):
+            raise ValueError("dependency structure attribute counts do not match the schema")
         for cpd in self.cpds:
             if cpd.parent_order != self.structure.parents_of(cpd.child):
-                raise ValueError(
-                    f"CPD parent order out of sync for {cpd.child}"
-                )
+                raise ValueError(f"CPD parent order out of sync for {cpd.child}")
+            child = schema.attribute(cpd.child.class_index, cpd.child.attribute_index)
+            shape = parent_sizes(schema, cpd.parent_order) + (len(child.domain),)
+            if cpd.rows.shape != shape:
+                raise ValueError(f"CPD for {cpd.child} has shape {cpd.rows.shape}, not {shape}")
 
     def cpd_for(self, node: AttributeNode) -> Cpd:
         return self._cpd_index[node]
 
-    @property
+    @cached_property
     def _cpd_index(self) -> dict[AttributeNode, Cpd]:
-        idx = self.__dict__.get("_cpd_index_cache")
-        if idx is None:
-            idx = {c.child: c for c in self.cpds}
-            self.__dict__["_cpd_index_cache"] = idx
-        return idx
+        return {c.child: c for c in self.cpds}
 
 
 # --- structure generation ---------------------------------------------------
@@ -543,7 +588,7 @@ def generate_cpds(
     dirichlet_alpha: float = 1.0,
     rng: np.random.Generator | None = None,
 ) -> Prm:
-    """Draw one symmetric-Dirichlet row per parent configuration."""
+    """Draw one symmetric-Dirichlet row per parent configuration, in row-major order."""
     if dirichlet_alpha <= 0:
         raise ValueError("dirichlet_alpha must be positive")
     if structure.k_max is None or any(
@@ -557,16 +602,10 @@ def generate_cpds(
         for ai, attr in enumerate(cls.attributes):
             node = AttributeNode(ci, ai)
             parents = structure.parents_of(node)
-            sizes = [
-                len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
-                for d in parents
-            ]
+            sizes = parent_sizes(schema, parents)
             alphas = np.full(len(attr.domain), dirichlet_alpha)
-            table = {
-                config: tuple(float(x) for x in rng.dirichlet(alphas))
-                for config in itertools.product(*(range(s) for s in sizes))
-            }
-            cpds.append(Cpd(child=node, parent_order=parents, table=table))
+            rows = rng.dirichlet(alphas, size=math.prod(sizes))
+            cpds.append(Cpd(node, parents, rows.reshape(*sizes, -1)))
     return Prm(
         schema=schema, structure=structure, cpds=tuple(cpds), k_max=structure.k_max
     )

@@ -55,6 +55,7 @@ from .deps import (
     Prm,
     Slot,
     SlotChain,
+    parent_sizes,
 )
 from .gbn import ClassTable, Dataset
 from .schema import (
@@ -133,13 +134,8 @@ def serialize_prm(prm: Prm) -> str:
             child=_attr_name(schema, cpd.child),
             parents=",".join(_attr_name(schema, d.parent) for d in cpd.parent_order),
         )
-        sizes = [
-            len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
-            for d in cpd.parent_order
-        ]
-        for config in itertools.product(*(range(s) for s in sizes)):
-            row_el = ET.SubElement(cpd_el, "row")
-            row_el.text = " ".join(repr(p) for p in cpd.table[config])
+        for row in cpd.rows.reshape(-1, cpd.rows.shape[-1]).tolist():
+            ET.SubElement(cpd_el, "row").text = " ".join(map(repr, row))
 
     ET.indent(root)
     return ET.tostring(root, encoding="unicode") + "\n"
@@ -339,18 +335,14 @@ def parse_prm(text: str) -> Prm:
                 f"cpd for {el.get('child')!r} declares parents {declared!r}, "
                 f"dependencies imply {expected_decl!r}",
             )
-        sizes = [
-            len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
-            for d in parents
-        ]
-        configs = list(itertools.product(*(range(s) for s in sizes)))
+        sizes = parent_sizes(schema, parents)
         expect_children(el, {"row"})
-        rows = list(el)
-        if len(rows) != len(configs):
-            err(el, f"cpd for {el.get('child')!r} has {len(rows)} rows, expected {len(configs)}")
+        row_els, n_rows = list(el), math.prod(sizes)
+        if len(row_els) != n_rows:
+            err(el, f"cpd for {el.get('child')!r} has {len(row_els)} rows, expected {n_rows}")
         domain = len(schema.attribute(child.class_index, child.attribute_index).domain)
-        table = {}
-        for config, row_el in zip(configs, rows):
+        rows = []
+        for row_el in row_els:
             try:
                 probs = tuple(float(tok) for tok in (row_el.text or "").split())
             except ValueError:
@@ -366,8 +358,8 @@ def parse_prm(text: str) -> Prm:
                     row_el,
                     f"cpd row for {el.get('child')!r} sums to {sum(probs)!r}, not 1",
                 )
-            table[config] = probs
-        cpds.append(Cpd(child, parents, table))
+            rows.append(probs)
+        cpds.append(Cpd(child, parents, np.array(rows).reshape(*sizes, domain)))
 
     try:
         return Prm(schema, structure, tuple(cpds), k_max)
@@ -397,9 +389,27 @@ def _quote(label: str) -> str:
     return "'" + label.replace("'", "''") + "'"
 
 
-# Rows per block of INSERT lines: each block converts only its own slice of
-# the columns to Python values, so memory does not grow with the row count.
-_SQL_BLOCK_ROWS = 4096
+# Rows per block of SQL or CSV lines: each block converts only its own slice
+# of the columns to Python values, so memory does not grow with the row count.
+_BLOCK_ROWS = 4096
+
+
+def _row_blocks(cls: ClassDef, table: ClassTable, labels):
+    """Per block of rows, the columns in :func:`_column_names` order.
+
+    Yields the key columns (ids, then foreign keys, as Python ints) and the
+    attribute columns, each state mapped through ``labels[attribute]``.
+    """
+    fks = [table.fk_values[slot.name] for slot in cls.reference_slots]
+    for lo in range(0, table.row_count, _BLOCK_ROWS):
+        hi = lo + _BLOCK_ROWS
+        keys = [range(lo, min(hi, table.row_count))]
+        keys += [fk[lo:hi].tolist() for fk in fks]
+        states = [
+            map(names.__getitem__, values[lo:hi].tolist())
+            for names, values in zip(labels, table.attr_values)
+        ]
+        yield keys, states
 
 
 def emit_sql(schema: RelationalSchema, dataset: Dataset, fh) -> None:
@@ -424,27 +434,20 @@ def emit_sql(schema: RelationalSchema, dataset: Dataset, fh) -> None:
         cls = schema.classes[ci]
         table = dataset.tables[ci]
         head = f"INSERT INTO {cls.name} ({', '.join(_column_names(cls))}) VALUES "
-        fks = [table.fk_values[slot.name] for slot in cls.reference_slots]
-        attrs = [
-            ([_quote(label) for label in attr.domain], table.attr_values[ai])
-            for ai, attr in enumerate(cls.attributes)
-        ]
-        for lo in range(0, table.row_count, _SQL_BLOCK_ROWS):
-            hi = lo + _SQL_BLOCK_ROWS
-            columns = [map(str, range(lo, min(hi, table.row_count)))]
-            columns += [map(str, fk[lo:hi].tolist()) for fk in fks]
-            columns += [
-                map(labels.__getitem__, values[lo:hi].tolist())
-                for labels, values in attrs
-            ]
-            fh.writelines(f"{head}({', '.join(row)});\n" for row in zip(*columns))
+        labels = [[_quote(label) for label in attr.domain] for attr in cls.attributes]
+        for keys, states in _row_blocks(cls, table, labels):
+            rows = zip(*(map(str, column) for column in keys), *states)
+            fh.writelines(f"{head}({', '.join(row)});\n" for row in rows)
 
 
 # --- CSV ---------------------------------------------------------------------
 
 
 def emit_csv(schema: RelationalSchema, dataset: Dataset, directory) -> list[Path]:
-    """One ``<class>.csv`` per class; returns the written paths."""
+    """One ``<class>.csv`` per class; returns the written paths.
+
+    Rows are written in blocks, as in :func:`emit_sql`.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     paths = []
@@ -454,15 +457,9 @@ def emit_csv(schema: RelationalSchema, dataset: Dataset, directory) -> list[Path
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(_column_names(cls))
-            columns = [range(table.row_count)]
-            columns += [
-                table.fk_values[slot.name].tolist() for slot in cls.reference_slots
-            ]
-            columns += [
-                map(attr.domain.__getitem__, table.attr_values[ai].tolist())
-                for ai, attr in enumerate(cls.attributes)
-            ]
-            writer.writerows(zip(*columns))
+            labels = [attr.domain for attr in cls.attributes]
+            for keys, states in _row_blocks(cls, table, labels):
+                writer.writerows(zip(*keys, *states))
         paths.append(path)
     return paths
 

@@ -20,7 +20,6 @@ referential structure and the probabilistic one.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -28,7 +27,7 @@ import numpy as np
 from scipy import sparse
 
 from .dag import topological_order
-from .deps import AttributeNode, Cpd, Prm, Slot, SlotChain
+from .deps import AttributeNode, Prm, Slot, SlotChain, parent_sizes
 from .schema import RelationalSchema, ReferenceSlot
 from .skeleton import ObjectRef, RelationalSkeleton, check_targets, int32_column
 
@@ -45,7 +44,6 @@ __all__ = [
     "ground",
     "mode_rows",
     "parent_configurations",
-    "parent_sizes",
     "resolve_slot_chain",
     "skeleton_from_dataset",
 ]
@@ -163,35 +161,16 @@ def chain_matrices(chains, links) -> dict[SlotChain, sparse.csr_array]:
     return out
 
 
-def parent_sizes(schema: RelationalSchema, parents) -> list[int]:
-    """Domain size of each parent attribute, in the given parent order."""
-    return [
-        len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
-        for d in parents
-    ]
-
-
-def _cpd_rows(schema: RelationalSchema, cpd: Cpd) -> np.ndarray:
-    """The CPD as a dense array, one row per parent configuration.
-
-    Rows are in row-major order over the parent domains, so the row of a
-    configuration is its :func:`parent_configurations` index.
-    """
-    sizes = parent_sizes(schema, cpd.parent_order)
-    return np.array(
-        [cpd.table[c] for c in itertools.product(*(range(s) for s in sizes))]
-    )
-
-
 def parent_configurations(
     schema: RelationalSchema, parents, chains, columns, n: int
 ) -> np.ndarray:
     """Row-major index of every object's parent configuration.
 
-    ``parents`` is a CPD's parent order for a class of ``n`` objects,
-    ``chains`` holds the matrices of the parents' slot chains (see
-    :func:`chain_matrices`) and ``columns`` maps each parent attribute to
-    its state per object.
+    The index is the object's row in ``cpd.rows.reshape(-1, states)`` (see
+    :class:`~prmbench.deps.Cpd`). ``parents`` is a CPD's parent order for a
+    class of ``n`` objects, ``chains`` holds the matrices of the parents'
+    slot chains (see :func:`chain_matrices`) and ``columns`` maps each
+    parent attribute to its state per object.
     """
     index = np.zeros(n, dtype=np.int64)
     for dep, size in zip(parents, parent_sizes(schema, parents)):
@@ -236,19 +215,14 @@ class GroundBayesianNetwork:
     chains: dict[SlotChain, sparse.csr_array]
 
     def node_id(self, obj: ObjectRef, attribute_index: int) -> int:
-        return self._offsets[obj.class_index] + obj.object_id * self._attr_counts[
-            obj.class_index
-        ] + attribute_index
-
-    @cached_property
-    def _attr_counts(self) -> tuple[int, ...]:
-        return tuple(len(c.attributes) for c in self.prm.schema.classes)
+        count = self.prm.structure.attr_counts[obj.class_index]
+        return self._offsets[obj.class_index] + obj.object_id * count + attribute_index
 
     @cached_property
     def _offsets(self) -> tuple[int, ...]:
         offsets = [0]
-        for ci, count in enumerate(self.skeleton.object_counts):
-            offsets.append(offsets[-1] + count * self._attr_counts[ci])
+        for n, count in zip(self.skeleton.object_counts, self.prm.structure.attr_counts):
+            offsets.append(offsets[-1] + n * count)
         return tuple(offsets)
 
     @cached_property
@@ -260,10 +234,11 @@ class GroundBayesianNetwork:
         and per aggregate, so it is meant for small networks.
         """
         schema = self.prm.schema
+        attr_counts = self.prm.structure.attr_counts
         nodes: list[GbnNode] = []
         for ci, n in enumerate(self.skeleton.object_counts):
             per_attr = []
-            for ai in range(self._attr_counts[ci]):
+            for ai in range(attr_counts[ci]):
                 entries = []
                 for dep in self.prm.cpd_for(AttributeNode(ci, ai)).parent_order:
                     members = self.chains[dep.slot_chain]
@@ -271,7 +246,7 @@ class GroundBayesianNetwork:
                     ids = (
                         self._offsets[pa]
                         + pi
-                        + self._attr_counts[pa] * members.indices.astype(np.int64)
+                        + attr_counts[pa] * members.indices.astype(np.int64)
                     ).tolist()
                     if dep.slot_chain.is_multi_valued:
                         domain = len(schema.attribute(pa, pi).domain)
@@ -405,7 +380,7 @@ def forward_sample(
         cpd = prm.cpd_for(node)
         n = sk.object_counts[node.class_index]
         index = parent_configurations(schema, cpd.parent_order, gbn.chains, columns, n)
-        cumulative = np.cumsum(_cpd_rows(schema, cpd), axis=1)
+        cumulative = np.cumsum(cpd.rows.reshape(-1, cpd.rows.shape[-1]), axis=1)
         u = rng.random(n)
         states = (u[:, None] >= cumulative[index]).sum(axis=1)
         columns[node] = np.minimum(states, cumulative.shape[1] - 1).astype(np.int32)

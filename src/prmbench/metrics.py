@@ -12,14 +12,13 @@ family's chains once, the convention elsewhere in the literature.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deps import AttributeNode, DependencyStructure, Prm, SlotChain
-from .gbn import Dataset, chain_matrices, parent_configurations, parent_sizes
+from .deps import AttributeNode, DependencyStructure, Prm, SlotChain, parent_sizes
+from .gbn import Dataset, chain_matrices, parent_configurations
 from .skeleton import RelationalSkeleton
 
 # Not called here since chains resolve set-at-a-time; bench/spans.py counts
@@ -100,14 +99,12 @@ def count_contingencies(
             node = AttributeNode(ci, ai)
             parents = structure.parents_of(node)
             k = len(attr.domain)
-            configs = list(
-                itertools.product(*(range(s) for s in parent_sizes(schema, parents)))
-            )
+            sizes = parent_sizes(schema, parents)
             index = parent_configurations(
                 schema, parents, chains, columns, dataset.tables[ci].row_count
             )
-            tally = np.bincount(index * k + columns[node], minlength=len(configs) * k)
-            families[node] = dict(zip(configs, tally.reshape(-1, k).tolist()))
+            tally = np.bincount(index * k + columns[node], minlength=math.prod(sizes) * k)
+            families[node] = dict(zip(np.ndindex(*sizes), tally.reshape(-1, k).tolist()))
     return ContingencyCounts(families)
 
 
@@ -168,7 +165,7 @@ def marginal_report(dataset: Dataset, prm: Prm) -> dict[str, float | int]:
         if cpd.parent_order:
             continue
         domain = len(cls.attributes[ai].domain)
-        row = cpd.table[()]
+        row = cpd.rows.tolist()  # Python floats, which round() below rounds correctly
         n = table.row_count
         if n == 0:
             continue

@@ -76,10 +76,6 @@ class RelationalSchema:
                 out[slot.name] = slot
         return out
 
-    @cached_property
-    def class_index_by_name(self) -> dict[str, int]:
-        return {cls.name: i for i, cls in enumerate(self.classes)}
-
     def attribute(self, class_index: int, attribute_index: int) -> AttributeDef:
         return self.classes[class_index].attributes[attribute_index]
 

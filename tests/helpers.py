@@ -105,6 +105,29 @@ def _oracle_parent_value(dataset, skeleton, dep, obj):
     return column[target.object_id]
 
 
+def oracle_generate_cpds(schema, structure, dirichlet_alpha, rng):
+    """One ``rng.dirichlet`` call per parent configuration, configurations in
+    ``itertools.product`` order; returns ``{child: {config: row}}``."""
+    import numpy as np
+
+    from prmbench.deps import AttributeNode
+
+    tables = {}
+    for ci, cls in enumerate(schema.classes):
+        for ai, attr in enumerate(cls.attributes):
+            node = AttributeNode(ci, ai)
+            sizes = [
+                len(schema.attribute(d.parent.class_index, d.parent.attribute_index).domain)
+                for d in structure.parents_of(node)
+            ]
+            alphas = np.full(len(attr.domain), dirichlet_alpha)
+            tables[node] = {
+                config: tuple(float(x) for x in rng.dirichlet(alphas))
+                for config in itertools.product(*(range(s) for s in sizes))
+            }
+    return tables
+
+
 def oracle_count_contingencies(dataset, skeleton, structure):
     """Per-object contingency tally; returns the ``families`` mapping."""
     from prmbench.deps import AttributeNode

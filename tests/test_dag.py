@@ -91,8 +91,25 @@ def test_same_seed_same_policy_identical_dag():
 
 
 def test_chain_moves_keep_acyclicity_in_debug_mode():
-    rng = np.random.default_rng(17)
-    g = generate_random_dag(6, DagPolicy(check_moves=True), rng)
+    # Step seed 17's move stream by hand, as generate_random_dag decodes it,
+    # and check the graph after every applied move.
+    from prmbench import dag
+
+    n = 6
+    n_pairs = n * (n - 1)
+    steps = DagPolicy().resolved_mixing_steps(n)
+    children, parent_count = [0] * n, [0] * n
+    applied = 0
+    for c in np.random.default_rng(17).integers(0, 3 * n_pairs, size=steps).tolist():
+        kind, pair = divmod(c, n_pairs)
+        u, r = divmod(pair, n - 1)
+        v = r + (r >= u)
+        if dag._apply_move(children, parent_count, kind, u, v, None):
+            applied += 1
+            assert oracle_is_acyclic(n, dag._edges_from_masks(children))
+    assert applied > 100
+    g = generate_random_dag(n, DagPolicy(), np.random.default_rng(17))
+    assert g.edges == dag._edges_from_masks(children)
     assert is_acyclic(g)
 
 

@@ -1,5 +1,6 @@
 import math
 from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,10 @@ from scipy.stats import kstest
 from prmbench.dag import DagPolicy
 from prmbench.deps import (
     AttributeNode,
+    Cpd,
     Dependency,
+    DependencyStructure,
+    Prm,
     Slot,
     SlotChain,
     SlotChainCounts,
@@ -23,7 +27,7 @@ from prmbench.deps import (
 )
 from prmbench.schema import GenerationPolicy, generate_schema
 
-from helpers import oracle_assign_slot_chains, oracle_is_acyclic
+from helpers import oracle_assign_slot_chains, oracle_generate_cpds, oracle_is_acyclic
 
 FAST = GenerationPolicy(dag_policy=DagPolicy(mixing_steps=1))
 
@@ -520,6 +524,105 @@ def test_generate_cpds_validates_inputs():
     annotated = assign_slot_chains(schema, structure, 2, rng)
     with pytest.raises(ValueError):
         generate_cpds(schema, annotated, 0.0, rng)
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.5, 1.0, 3.0])
+def test_generate_cpds_matches_per_row_oracle_with_same_stream(alpha):
+    # One dirichlet call per CPD must draw what one call per row drew, and
+    # leave the stream where the per-row calls left it. alpha = 0.05 takes
+    # NumPy's small-alpha branch.
+    policy = GenerationPolicy(attr_lambda=2.0, dag_policy=DagPolicy(mixing_steps=1))
+    for seed in range(8):
+        rng = np.random.default_rng(seed)
+        schema = generate_schema(2 + seed % 3, policy, rng)
+        structure = generate_dependency_structure(schema, policy, rng)
+        annotated = assign_slot_chains(schema, structure, 3, rng)
+        oracle_rng = np.random.default_rng()
+        oracle_rng.bit_generator.state = rng.bit_generator.state
+        prm = generate_cpds(schema, annotated, alpha, rng)
+        expected = oracle_generate_cpds(schema, annotated, alpha, oracle_rng)
+        assert {c.child: c.table for c in prm.cpds} == expected
+        assert rng.bit_generator.state == oracle_rng.bit_generator.state
+
+
+def _two_parent_structure(movie_schema):
+    """vote.rating (3 states) <- movie.genre (3 states), user.age (2 states)."""
+    movie_slot, user_slot = movie_schema.classes[2].reference_slots
+    deps = tuple(
+        Dependency(AttributeNode(2, 0), AttributeNode(ci, 0), SlotChain(2, (Slot(slot),)))
+        for ci, slot in ((0, movie_slot), (1, user_slot))
+    )
+    return DependencyStructure(deps, (1, 1, 1), k_max=1)
+
+
+def _rating_prm(movie_schema, rows):
+    structure = _two_parent_structure(movie_schema)
+    rating = AttributeNode(2, 0)
+    cpds = (
+        Cpd(AttributeNode(0, 0), (), {(): (0.5, 0.3, 0.2)}),
+        Cpd(AttributeNode(1, 0), (), {(): (0.6, 0.4)}),
+        Cpd(rating, structure.parents_of(rating), rows),
+    )
+    return Prm(movie_schema, structure, cpds, 1)
+
+
+def _rating_table():
+    return {
+        (g, a): (0.1 * g, 0.5 - 0.1 * g - 0.1 * a, 0.5 + 0.1 * a)
+        for g in range(3)
+        for a in range(2)
+    }
+
+
+def test_cpd_dict_and_array_give_the_same_rows(movie_schema):
+    table = _rating_table()
+    from_dict = _rating_prm(movie_schema, table).cpds[2]
+    assert from_dict.rows.shape == (3, 2, 3)
+    assert from_dict.table == table
+    assert from_dict.rows[2, 1].tolist() == list(table[2, 1])
+    assert from_dict.rows.reshape(-1, 3).tolist() == [list(r) for r in table.values()]
+    from_array = _rating_prm(movie_schema, from_dict.rows.copy()).cpds[2]
+    assert from_array == from_dict
+    changed = from_dict.rows.copy()
+    changed[0, 0] = (0.0, 0.0, 1.0)
+    assert _rating_prm(movie_schema, changed).cpds[2] != from_dict
+
+
+def test_cpd_rows_are_read_only(movie_schema):
+    cpds = list(_toy_prm(0).cpds) + [_rating_prm(movie_schema, _rating_table()).cpds[2]]
+    for cpd in cpds:
+        assert not cpd.rows.flags.writeable
+        with pytest.raises(ValueError):
+            cpd.rows[...] = 0.0
+
+
+def test_prm_rejects_transposed_cpd(movie_schema):
+    # Six rows either way, so only the shape tells them apart.
+    rows = np.array(list(_rating_table().values())).reshape(3, 2, 3)
+    with pytest.raises(ValueError, match="shape"):
+        _rating_prm(movie_schema, rows.transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("missing", [[(0, 0)], [(1, 1)], [(2, 0), (2, 1)]])
+def test_prm_rejects_cpd_table_missing_a_configuration(movie_schema, missing):
+    table = _rating_table()
+    for config in missing:
+        del table[config]
+    with pytest.raises(ValueError):
+        _rating_prm(movie_schema, table)
+
+
+def test_prm_rejects_cpd_with_wrong_state_count(movie_schema):
+    table = {config: row[:2] for config, row in _rating_table().items()}
+    with pytest.raises(ValueError, match="shape"):
+        _rating_prm(movie_schema, table)
+
+
+def test_prm_rejects_structure_with_other_attribute_counts(movie_schema):
+    prm = _rating_prm(movie_schema, _rating_table())
+    structure = replace(prm.structure, attr_counts=(1, 1, 2))
+    with pytest.raises(ValueError, match="attribute counts"):
+        Prm(movie_schema, structure, prm.cpds, 1)
 
 
 def test_canonical_parent_order_stable(movie_schema):
