@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+import numpy.random  # noqa: F401 -- numpy 2 defers it to first use
 
 from .dag import RejectionBudgetError
 from .deps import (

@@ -167,31 +167,6 @@ def _apply_move(
     return True
 
 
-def _masks_acyclic(children: list[int]) -> bool:
-    n = len(children)
-    indeg = [0] * n
-    for u in range(n):
-        m = children[u]
-        while m:
-            b = m & -m
-            m ^= b
-            indeg[b.bit_length() - 1] += 1
-    ready = [i for i in range(n) if indeg[i] == 0]
-    seen = 0
-    while ready:
-        u = ready.pop()
-        seen += 1
-        m = children[u]
-        while m:
-            b = m & -m
-            m ^= b
-            v = b.bit_length() - 1
-            indeg[v] -= 1
-            if indeg[v] == 0:
-                ready.append(v)
-    return seen == n
-
-
 def _edges_from_masks(children: list[int]) -> frozenset[tuple[int, int]]:
     edges = []
     for u, m in enumerate(children):
@@ -333,24 +308,18 @@ def _move_table(n: int, max_parents: int | None):
                 u, v = pairs[p]
                 children[u] |= 1 << v
                 parent_count[v] += 1
-        if not _masks_acyclic(children):
+        g = Dag(n, _edges_from_masks(children))
+        if not is_acyclic(g):
             table[:, s] = s  # unreachable from the empty DAG; keep total
             continue
-        connected[s] = is_weakly_connected(Dag(n, _edges_from_masks(children)))
+        connected[s] = is_weakly_connected(g)
         for c in range(3 * m):
             kind, pair = divmod(c, m)
             u, v = pairs[pair]
             work = children.copy()
             counts = parent_count.copy()
             _apply_move(work, counts, kind, u, v, max_parents)
-            code = 0
-            for a, mask in enumerate(work):
-                mm = mask
-                while mm:
-                    b = mm & -mm
-                    mm ^= b
-                    code |= 1 << pair_index[(a, b.bit_length() - 1)]
-            table[c, s] = code
+            table[c, s] = sum(1 << pair_index[e] for e in _edges_from_masks(work))
     return table, connected, pairs
 
 

@@ -344,22 +344,27 @@ def parse_prm(text: str) -> Prm:
         rows = []
         for row_el in row_els:
             try:
-                probs = tuple(float(tok) for tok in (row_el.text or "").split())
+                rows.append(list(map(float, (row_el.text or "").split())))
             except ValueError:
-                err(row_el, f"cpd row for {el.get('child')!r} has non-numeric entries")
-            if len(probs) != domain:
-                err(row_el, f"cpd row for {el.get('child')!r} has {len(probs)} entries, expected {domain}")
-            if not all(math.isfinite(p) for p in probs):
-                err(row_el, f"cpd row for {el.get('child')!r} has non-finite entries")
-            if any(p < 0 for p in probs):
-                err(row_el, f"cpd row for {el.get('child')!r} has negative entries")
-            if abs(sum(probs) - 1.0) > 1e-9:
-                err(
-                    row_el,
-                    f"cpd row for {el.get('child')!r} sums to {sum(probs)!r}, not 1",
-                )
-            rows.append(probs)
-        cpds.append(Cpd(child, parents, np.array(rows).reshape(*sizes, domain)))
+                break  # rows stops at the first row that does not parse
+        good = next((i for i, r in enumerate(rows) if len(r) != domain), len(rows))
+        probs = np.array(rows[:good], dtype=float).reshape(good, domain)
+        finite = np.isfinite(probs).all(axis=1)
+        signed = (probs < 0).any(axis=1)
+        # Python's sum, not numpy's pairwise one, rounds as the check always has.
+        unnormal = np.abs(np.array(list(map(sum, rows[:good]))) - 1.0) > 1e-9
+        bad = np.flatnonzero(~finite | signed | unnormal)
+        i = int(bad[0]) if len(bad) else good
+        if i < len(row_els):
+            problem = (
+                "has non-numeric entries" if i == len(rows)
+                else f"has {len(rows[i])} entries, expected {domain}" if i == good
+                else "has non-finite entries" if not finite[i]
+                else "has negative entries" if signed[i]
+                else f"sums to {sum(rows[i])!r}, not 1"
+            )
+            err(row_els[i], f"cpd row for {el.get('child')!r} {problem}")
+        cpds.append(Cpd(child, parents, probs.reshape(*sizes, domain)))
 
     try:
         return Prm(schema, structure, tuple(cpds), k_max)

@@ -1,12 +1,10 @@
 """Grounding a PRM over a skeleton and forward-sampling a dataset.
 
 The ground network has one node per (object, descriptive attribute), but it
-is kept implicit: an attribute topological order plus one resolved matrix
-per distinct slot chain. Row i of a chain matrix holds the objects the
-chain reaches from object i of its source class. The matrix is the product
-of the chain's slot incidence matrices (GraphBLAS-style joins, Kepner et
-al., HPEC 2016): a forward slot has exactly one nonzero per owner row, at
-the target id; an inverse slot is its transpose. Single-valued chains
+is kept implicit: an attribute topological order plus the resolved rows of
+each distinct slot chain. Row i of a chain holds the objects the chain
+reaches from object i of its source class, found by numpy gathers over the
+foreign-key columns (see :func:`chain_matrices`). Single-valued chains
 therefore contribute one parent per object; multi-valued ones an aggregate
 over however many objects the row holds (possibly none; an empty aggregate
 reads as state 0).
@@ -21,13 +19,13 @@ referential structure and the probabilistic one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse
 
 from .dag import topological_order
-from .deps import AttributeNode, Prm, Slot, SlotChain, parent_sizes
+from .deps import AttributeNode, Prm, SlotChain, parent_sizes
 from .schema import RelationalSchema, ReferenceSlot
 from .skeleton import ObjectRef, RelationalSkeleton, check_targets, int32_column
 
@@ -38,6 +36,7 @@ __all__ = [
     "Column",
     "GbnNode",
     "GroundBayesianNetwork",
+    "Members",
     "aggregate_mode",
     "chain_matrices",
     "forward_sample",
@@ -47,6 +46,13 @@ __all__ = [
     "resolve_slot_chain",
     "skeleton_from_dataset",
 ]
+
+
+class Members(NamedTuple):
+    """Compressed rows: row i is ``indices[indptr[i]:indptr[i + 1]]``."""
+
+    indptr: np.ndarray  # int64, one more entry than there are rows
+    indices: np.ndarray  # int32 object ids, ascending within each row
 
 
 def resolve_slot_chain(
@@ -90,9 +96,7 @@ def aggregate_mode(values, domain_size: int) -> int:
     return best
 
 
-def mode_rows(
-    members: sparse.csr_array, column: np.ndarray, domain_size: int
-) -> np.ndarray:
+def mode_rows(members: Members, column: np.ndarray, domain_size: int) -> np.ndarray:
     """:func:`aggregate_mode` of ``column[members[i]]`` for every row i at once.
 
     ``argmax`` takes the first maximum and gives 0 for an all-zero row, which
@@ -100,64 +104,84 @@ def mode_rows(
     """
     if domain_size < 2:
         raise ValueError("domain_size must be >= 2")
-    # int32, not the matrix's bool: one row can count ~1e5 members.
-    onehot = np.zeros((len(column), domain_size), dtype=np.int32)
-    onehot[np.arange(len(column)), column] = 1
-    return (members @ onehot).argmax(axis=1)
+    n = len(members.indptr) - 1
+    cells = np.repeat(np.arange(n) * domain_size, np.diff(members.indptr))
+    tally = np.bincount(cells + column[members.indices], minlength=n * domain_size)
+    return tally.reshape(n, domain_size).argmax(axis=1)
 
 
 _AGGREGATE_ROWS = {"MODE": mode_rows}
 
 
-def _functional(targets: np.ndarray, n_targets: int) -> sparse.csr_array:
-    """Boolean CSR matrix with one nonzero per row i, at column targets[i]."""
-    indptr = np.arange(len(targets) + 1, dtype=targets.dtype)
-    return sparse.csr_array(
-        (np.ones(len(targets), dtype=bool), targets, indptr),
-        shape=(len(targets), n_targets),
-    )
+def _take_rows(members: Members, rows: np.ndarray) -> Members:
+    """The given rows of ``members``, in the given order."""
+    starts = members.indptr[rows]
+    lengths = members.indptr[rows + 1] - starts
+    indptr = np.concatenate(([0], np.cumsum(lengths)))
+    at = np.arange(indptr[-1]) - np.repeat(indptr[:-1] - starts, lengths)
+    return Members(indptr, members.indices[at])
 
 
-def chain_matrices(chains, links) -> dict[SlotChain, sparse.csr_array]:
+def _distinct_pairs(rows: np.ndarray, ids: np.ndarray, width: int):
+    """The distinct (row, id) pairs in ascending order, for ids below ``width``."""
+    keys = rows.astype(np.int64) * width + ids
+    keys.sort()  # np.unique is far slower here
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    return (keys // width).astype(np.int32), (keys % width).astype(np.int32)
+
+
+def chain_matrices(chains, links) -> dict[SlotChain, Members]:
     """Resolve each distinct chain for every object of its source class.
 
     ``links`` is a :class:`RelationalSkeleton` or a :class:`Dataset`: anything
-    with ``object_counts`` and a range-checked ``fk_column(slot)``. Row i of a
-    chain's boolean CSR matrix lists, in ascending order, the ids of the
+    with ``object_counts`` and a range-checked ``fk_column(slot)``. Row i of
+    a chain's :class:`Members` lists, in ascending order, the ids of the
     objects the chain reaches from object i: the set
     :func:`resolve_slot_chain` returns.
 
-    The slot matrices multiply left to right, so each intermediate product
-    holds exactly the deduplicated per-step object sets of the one-object
-    walk, and time and memory follow their total size. Multiplying right to
-    left can build far larger intermediates (hub class x target class).
-    Boolean products add by OR, so every stored entry stays True.
+    The leading forward slots map each object to its peak object, which
+    reaches the same set (aggregate pushdown through a to-one join, Yan and
+    Larson, VLDB 1995). The rest is walked once per peak-class object as
+    (row, id) pairs, deduplicated after each forward step; an inverse step
+    repeats no pair, since each owner has one target per slot.
     """
     counts = links.object_counts
-    incidence: dict[Slot, sparse.csr_array] = {}
-    out: dict[SlotChain, sparse.csr_array] = {}
+    column = cache(links.fk_column)
+
+    @cache
+    def owners(slot: ReferenceSlot) -> Members:  # row t: owners linking to t
+        targets = column(slot)
+        sizes = np.bincount(targets, minlength=counts[slot.referenced_class])
+        order = np.argsort(targets, kind="stable").astype(np.int32)
+        return Members(np.concatenate(([0], np.cumsum(sizes))), order)
+
+    out: dict[SlotChain, Members] = {}
     for chain in chains:
         if chain in out:
             continue
-        resolved = None
-        for slot in chain.slots:
-            step = incidence.get(slot)
-            if step is None:
-                base = slot.base
-                # The column's ids become raw CSR indices, which scipy does
-                # not bound-check; fk_column guarantees 0 <= id < count.
-                step = _functional(
-                    links.fk_column(base), counts[base.referenced_class]
-                )
-                if slot.inverted:
-                    step = step.T.tocsr()
-                incidence[slot] = step
-            resolved = step if resolved is None else resolved @ step
-        if resolved is None:  # the empty chain reaches its start object
-            n = counts[chain.source_class]
-            resolved = _functional(np.arange(n, dtype=np.int32), n)
-        resolved.sort_indices()
-        out[chain] = resolved
+        slots = chain.slots
+        head = next((i for i, s in enumerate(slots) if s.inverted), len(slots))
+        # Ids index the fk columns, which fk_column has range-checked:
+        # numpy would wrap a negative id instead of failing.
+        peak = np.arange(counts[chain.source_class], dtype=np.int32)
+        for slot in slots[:head]:
+            peak = column(slot.base)[peak]
+        if head == len(slots):
+            out[chain] = Members(np.arange(len(peak) + 1), peak)
+            continue
+        m = counts[slots[head].start_class]
+        rows = ids = np.arange(m, dtype=np.int32)
+        for slot in slots[head:]:
+            if slot.inverted:
+                step = _take_rows(owners(slot.base), ids)
+                rows, ids = np.repeat(rows, np.diff(step.indptr)), step.indices
+            else:
+                targets = column(slot.base)[ids]
+                rows, ids = _distinct_pairs(rows, targets, counts[slot.end_class])
+        if slots[-1].inverted:  # distinct already; order the ids within rows
+            rows, ids = _distinct_pairs(rows, ids, counts[chain.end_class])
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=m))))
+        out[chain] = _take_rows(Members(indptr, ids), peak)
     return out
 
 
@@ -168,7 +192,7 @@ def parent_configurations(
 
     The index is the object's row in ``cpd.rows.reshape(-1, states)`` (see
     :class:`~prmbench.deps.Cpd`). ``parents`` is a CPD's parent order for a
-    class of ``n`` objects, ``chains`` holds the matrices of the parents'
+    class of ``n`` objects, ``chains`` holds the resolved rows of the parents'
     slot chains (see :func:`chain_matrices`) and ``columns`` maps each
     parent attribute to its state per object.
     """
@@ -206,13 +230,13 @@ class GroundBayesianNetwork:
 
     ``order`` is a topological order of the attributes, valid for every
     ground node; ``chains`` maps each distinct slot chain of the PRM to its
-    resolved matrix (see :func:`chain_matrices`).
+    resolved rows (see :func:`chain_matrices`).
     """
 
     prm: Prm
     skeleton: RelationalSkeleton
     order: tuple[AttributeNode, ...]
-    chains: dict[SlotChain, sparse.csr_array]
+    chains: dict[SlotChain, Members]
 
     def node_id(self, obj: ObjectRef, attribute_index: int) -> int:
         count = self.prm.structure.attr_counts[obj.class_index]

@@ -127,6 +127,21 @@ def test_module_entry_point(tmp_path):
     assert "usage" in usage.stderr.lower()
 
 
+def test_cli_run_loads_no_scipy_module(tmp_path):
+    # numpy is the only runtime dependency; scipy serves the tests alone.
+    script = (
+        "import sys\n"
+        "from prmbench.cli import run_cli\n"
+        f"code = run_cli(['--classes', '4', '--objects', '300', '--out', {str(tmp_path)!r}])\n"
+        "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split(maxsplit=1) == ["0", "[]\n"]
+
+
 def test_out_of_memory_exits_1_with_message(tmp_path, monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError

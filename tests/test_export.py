@@ -126,6 +126,44 @@ def test_parse_rejects_non_finite_row_with_line_context():
             parse_prm(broken)
 
 
+# Row texts for a child with ``w`` states.
+_BAD_ROWS = {
+    "non-numeric": lambda w: "0.5 x" + " 0.5" * (w - 2),
+    "short": lambda w: "1.0",
+    "long": lambda w: "1.0" + " 0.0" * w,
+    "negative": lambda w: "1.5 -0.5" + " 0.0" * (w - 2),
+    "nan": lambda w: " ".join(["nan"] * w),
+    "-inf": lambda w: "1.0 -inf" + " 0.0" * (w - 2),
+}
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        ("non-numeric", None, "has non-numeric entries"),
+        ("short", None, "has 1 entries, expected"),
+        ("negative", None, "has negative entries"),
+        # Within a row the checks keep their order: finiteness before sign.
+        ("-inf", None, "has non-finite entries"),
+        # The first failing row is reported, whatever fails in a later row.
+        ("negative", "non-numeric", "has negative entries"),
+        ("long", "nan", r"has \d+ entries, expected"),
+    ],
+)
+def test_parse_reports_the_first_bad_cpd_row_with_its_line(first, second, message):
+    prm, _, _ = _pipeline(1, n=2)
+    text = serialize_prm(prm)
+    starts = [m.end() for m in re.finditer("<row>", text)][:2]
+    line = text.count("\n", 0, starts[0]) + 1
+    for start, kind in reversed(list(zip(starts, (first, second)))):
+        if kind is not None:
+            end = text.index("</row>", start)
+            row = _BAD_ROWS[kind](len(text[start:end].split()))
+            text = text[:start] + row + text[end:]
+    with pytest.raises(ModelFormatError, match=rf"^line {line}: cpd row .* {message}"):
+        parse_prm(text)
+
+
 def test_parse_rejects_dangling_chain_slot():
     prm, _, _ = _pipeline(2, n=3)
     text = serialize_prm(prm)

@@ -24,8 +24,14 @@ from prmbench.gbn import (
     resolve_slot_chain,
     skeleton_from_dataset,
 )
-from prmbench.schema import GenerationPolicy, generate_schema
-from prmbench.skeleton import CrpConfig, ObjectRef, generate_skeleton, validate_skeleton
+from prmbench.schema import GenerationPolicy, ReferenceSlot, generate_schema
+from prmbench.skeleton import (
+    CrpConfig,
+    ObjectRef,
+    RelationalSkeleton,
+    generate_skeleton,
+    validate_skeleton,
+)
 
 from conftest import MOVIE, USER, VOTE, build_movie_prm, links_as_plain_table
 from helpers import (
@@ -112,8 +118,8 @@ def _assert_rows_match_oracles(sk, chains):
     matrices = chain_matrices(chains, sk)
     for chain in chains:
         matrix = matrices[chain]
-        assert matrix.shape[0] == sk.object_counts[chain.source_class]
-        for oid in range(matrix.shape[0]):
+        assert len(matrix.indptr) - 1 == sk.object_counts[chain.source_class]
+        for oid in range(len(matrix.indptr) - 1):
             row = matrix.indices[matrix.indptr[oid] : matrix.indptr[oid + 1]]
             assert list(row) == sorted(row)
             got = {(chain.end_class, int(t)) for t in row}
@@ -159,6 +165,77 @@ def test_chain_matrix_rows_match_both_oracles_on_movie_fixture(
             ),
         ],
     )
+
+
+# Classes d(0) -delta-> a(1) -sigma-> c(2) <-rho- b(3) -beta-> e(4).
+DELTA = ReferenceSlot("delta", owner_class=0, referenced_class=1)
+SIGMA = ReferenceSlot("sigma", owner_class=1, referenced_class=2)
+RHO = ReferenceSlot("rho", owner_class=3, referenced_class=2)
+BETA = ReferenceSlot("beta", owner_class=3, referenced_class=4)
+
+
+def _chain(source, *tokens):
+    slots = {"delta": DELTA, "sigma": SIGMA, "rho": RHO, "beta": BETA}
+    return SlotChain(
+        source, tuple(Slot(slots[t.lstrip("~")], t.startswith("~")) for t in tokens)
+    )
+
+
+def _skeleton_without_b():
+    return RelationalSkeleton(
+        (2, 2, 2, 0, 1), {DELTA: [0, 1], SIGMA: [1, 1], RHO: [], BETA: []}
+    )
+
+
+def test_chain_through_an_empty_owner_class_reaches_nothing():
+    sk = _skeleton_without_b()
+    chains = [
+        _chain(1, "sigma", "~rho"),
+        _chain(2, "~rho", "rho"),
+        _chain(0, "delta", "sigma", "~rho", "beta"),
+    ]
+    _assert_rows_match_oracles(sk, chains)
+    rows = chain_matrices(chains, sk)
+    assert all(len(rows[c].indices) == 0 for c in chains)
+    assert all(len(rows[c].indptr) == 3 for c in chains)
+
+
+def test_chain_from_a_class_without_objects_has_no_rows():
+    sk = _skeleton_without_b()
+    chains = [
+        _chain(3),
+        _chain(3, "rho"),
+        _chain(3, "rho", "~sigma"),
+        _chain(3, "beta", "~beta", "rho", "~rho"),
+    ]
+    _assert_rows_match_oracles(sk, chains)
+    rows = chain_matrices(chains, sk)
+    assert all(len(rows[c].indptr) == 1 and len(rows[c].indices) == 0 for c in chains)
+
+
+def test_chain_rows_of_a_valley_after_a_two_step_forward_prefix():
+    sk = RelationalSkeleton(
+        (6, 4, 3, 7, 3),
+        {
+            DELTA: [0, 0, 1, 2, 3, 3],
+            SIGMA: [0, 0, 2, 1],
+            RHO: [0, 0, 0, 2, 2, 1, 0],
+            BETA: [0, 1, 0, 2, 2, 2, 1],
+        },
+    )
+    valley = _chain(0, "delta", "sigma", "~rho", "beta")
+    chains = [
+        valley,
+        _chain(0, "delta", "sigma"),
+        _chain(0, "delta", "sigma", "~sigma"),
+        _chain(0, "delta", "sigma", "~rho", "rho"),
+        _chain(0, "delta", "sigma", "~rho", "beta", "~beta"),
+    ]
+    _assert_rows_match_oracles(sk, chains)
+    rows = chain_matrices(chains, sk)[valley]
+    # Peaks c0, c0, c0, c2, c1, c1; c0's referrers b0 b1 b2 b6 share targets.
+    reached = [rows.indices[a:b].tolist() for a, b in zip(rows.indptr, rows.indptr[1:])]
+    assert reached == [[0, 1], [0, 1], [0, 1], [2], [2], [2]]
 
 
 def test_simplification_changes_semantics_on_shared_sink_schemas():

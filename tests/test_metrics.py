@@ -138,8 +138,8 @@ def test_counts_reject_skeleton_that_disagrees_with_dataset(movie_schema, movie_
 
 @pytest.mark.parametrize("bad_id", [5, -1])
 def test_out_of_range_foreign_key_is_rejected(movie_schema, movie_skeleton, bad_id):
-    # Foreign keys become raw sparse-matrix indices, which scipy does not
-    # bound-check, so they must be checked before any matrix is built.
+    # Foreign keys become array indices, and numpy wraps a negative index
+    # instead of failing, so they must be checked before any gather.
     import dataclasses
 
     from prmbench.gbn import skeleton_from_dataset
